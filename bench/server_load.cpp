@@ -830,11 +830,10 @@ int main(int argc, char** argv) {
   bool sh_digests_match = true;
   bool sh_conserved = true;
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    server::ShardedLoadConfig sh_load;
-    sh_load.base = load_config(600);
-    sh_load.base.channel = {};  // loss-free: same sessions at any speed
-    sh_load.base.mean_interarrival_us = 200;
-    sh_load.base.poisson_arrivals = false;
+    server::LoadConfig sh_load = load_config(600);
+    sh_load.channel = {};  // loss-free: same sessions at any speed
+    sh_load.mean_interarrival_us = 200;
+    sh_load.poisson_arrivals = false;
     sh_load.shards = shards;
     sh_load.slice_us = 1'000;
     server::ClientConfig sh_client = client_config(pki);
@@ -847,21 +846,21 @@ int main(int argc, char** argv) {
     sh_server.core.us_per_flight = 50.0;
     sh_server.core.us_per_appdata_kb = 20.0;
     const auto t0 = std::chrono::steady_clock::now();
-    server::ShardedLoadGenerator gen(sh_load, sh_server, sh_client,
-                                     {.capacity = 1'024});
-    const server::ShardedLoadReport r = gen.run();
+    server::LoadGenerator gen(sh_load, sh_server, sh_client,
+                              {.capacity = 1'024});
+    const server::LoadReport r = gen.run();
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
-    const std::string digest = hex_prefix(r.fleet.fleet_digest);
+    const std::string digest = hex_prefix(r.fleet_digest);
     if (sh_digest0.empty()) sh_digest0 = digest;
     sh_digests_match = sh_digests_match && digest == sh_digest0;
     sh_conserved = sh_conserved && r.conserved;
     ShardRow row;
     row.shards = shards;
-    row.hs_per_s = r.fleet.full_handshakes_per_s;
-    row.mbps = r.fleet.record_mbps;
-    row.p99_ms = r.fleet.handshake_p99_ms;
+    row.hs_per_s = r.full_handshakes_per_s;
+    row.mbps = r.record_mbps;
+    row.p99_ms = r.handshake_p99_ms;
     row.hist_p99_ms = r.handshake_hist_p99_ms;
     row.epochs = r.epochs;
     row.conserved = r.conserved;
@@ -888,19 +887,18 @@ int main(int argc, char** argv) {
   // 10k while per-shard sums still conserve against the fleet totals.
   std::puts("\n-- E24 soak: 10k concurrent lingering sessions on 8 shards "
             "--");
-  server::ShardedLoadConfig soak_load;
-  soak_load.base = load_config(10'000);
-  soak_load.base.channel = {};
-  soak_load.base.mean_interarrival_us = 100;
-  soak_load.base.poisson_arrivals = false;
+  server::LoadConfig soak_load = load_config(10'000);
+  soak_load.channel = {};
+  soak_load.mean_interarrival_us = 100;
+  soak_load.poisson_arrivals = false;
   soak_load.shards = 8;
   soak_load.slice_us = 1'000;
   server::ClientConfig soak_client = client_config(pki);
   soak_client.linger = true;
-  server::ShardedLoadGenerator soak_gen(soak_load, server_config(pki),
-                                        soak_client, {.capacity = 16'384});
+  server::LoadGenerator soak_gen(soak_load, server_config(pki), soak_client,
+                                 {.capacity = 16'384});
   const auto soak_t0 = std::chrono::steady_clock::now();
-  const server::ShardedLoadReport soak = soak_gen.run();
+  const server::LoadReport soak = soak_gen.run();
   const double soak_wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - soak_t0)
@@ -910,15 +908,15 @@ int main(int argc, char** argv) {
               "totals, %llu epochs, wall %.0f ms\n",
               soak.peak_open_connections,
               static_cast<unsigned long long>(
-                  soak.fleet.server.handshakes_completed),
-              static_cast<unsigned long long>(soak.fleet.server.idle_closes),
+                  soak.server.handshakes_completed),
+              static_cast<unsigned long long>(soak.server.idle_closes),
               soak.conserved ? "MATCH" : "DIVERGE",
               static_cast<unsigned long long>(soak.epochs), soak_wall_ms);
   const bool sharded_ok = sh_digests_match && sh_conserved &&
                           shard_scaling >= 3.0 &&
                           soak.peak_open_connections >= 10'000 &&
                           soak.conserved &&
-                          soak.fleet.server.handshakes_completed >= 10'000;
+                          soak.server.handshakes_completed >= 10'000;
 
   // Scenario 9 (E25): supervised shard failure at fleet scale. The crash
   // lands after every client's first session has completed (arrivals span

@@ -26,6 +26,7 @@
 #include "mapsec/net/channel.hpp"
 #include "mapsec/platform/energy.hpp"
 #include "mapsec/server/client.hpp"
+#include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/server.hpp"
 #include "mapsec/server/session_cache.hpp"
 
@@ -73,7 +74,11 @@ struct CampaignConfig {
   std::size_t max_events = 200'000'000;  // runaway guard
 };
 
-struct CampaignReport {
+/// The honest fleet's outcome lives in the FleetTally base: sessions,
+/// echo mismatches, refused attempts, failover reconnects/resumes and the
+/// fleet_digest — bit-identical across pipeline worker counts and shard
+/// counts for the same seed.
+struct CampaignReport : server::FleetTally {
   server::ServerStats server;
 
   bool drained = false;        // queue emptied within max_events
@@ -82,16 +87,6 @@ struct CampaignReport {
   double degraded_time_us = 0;
   std::uint64_t degraded_transitions = 0;
   double sim_duration_s = 0;
-
-  // Honest fleet outcome.
-  std::size_t sessions_attempted = 0;
-  std::size_t sessions_completed = 0;
-  std::size_t sessions_failed = 0;   // gave up after the retry budget
-  std::size_t echo_mismatches = 0;
-  std::size_t honest_refused_attempts = 0;
-  /// SHA-256 over honest clients' transcript digests, in client order —
-  /// bit-identical across pipeline worker counts for the same seed.
-  crypto::Bytes fleet_digest;
 
   // Failover outcome (all zero when the plan has no Shard* lifecycle
   // faults). Blackout percentiles are over per-reconnect samples: shard
@@ -103,8 +98,6 @@ struct CampaignReport {
   std::uint64_t clients_migrated = 0;
   std::uint64_t connections_killed = 0;
   std::uint64_t missed_heartbeats = 0;
-  std::size_t client_reconnects = 0;
-  std::size_t failover_resumes = 0;  // reconnects that resumed (no full hs)
   double blackout_p50_ms = 0;
   double blackout_p99_ms = 0;
 
@@ -139,8 +132,6 @@ class CampaignRunner {
   CampaignReport run();
 
  private:
-  CampaignReport run_sharded();
-
   CampaignConfig config_;
 };
 

@@ -1,33 +1,23 @@
 #include "mapsec/chaos/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "mapsec/chaos/adversary.hpp"
 #include "mapsec/chaos/exhaustible_rng.hpp"
 #include "mapsec/crypto/dispatch.hpp"
-#include "mapsec/crypto/sha256.hpp"
-#include "mapsec/server/sharded_server.hpp"
+#include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/supervisor.hpp"
 
 namespace mapsec::chaos {
 
 namespace {
-
-std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
-  return seed ^ (n * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
-}
-
-net::SimTime exponential_us(crypto::Rng& rng, double mean_us) {
-  const double u =
-      (static_cast<double>(rng.next_u32()) + 1.0) / 4294967297.0;
-  return static_cast<net::SimTime>(-mean_us * std::log(u));
-}
 
 /// Faults flip process-global dispatch state; restore it however the
 /// run ends.
@@ -54,393 +44,77 @@ struct Weather {
 /// is an unbounded-growth bug.
 constexpr std::uint64_t kMemorySlop = 32 * 1024;
 
-}  // namespace
-
-CampaignReport CampaignRunner::run() {
-  if (config_.shards > 0) return run_sharded();
-
-  for (const Fault& fault : config_.faults) {
-    if (std::get_if<ShardCrash>(&fault) != nullptr ||
-        std::get_if<ShardHang>(&fault) != nullptr ||
-        std::get_if<ShardWorkerStall>(&fault) != nullptr ||
-        std::get_if<ShardOffloadStall>(&fault) != nullptr)
-      throw std::invalid_argument(
-          "chaos: Shard* lifecycle faults need a sharded campaign "
-          "(CampaignConfig::shards >= 1)");
-  }
-
-  DispatchGuard dispatch_guard;
-
-  // Declaration order doubles as lifetime order (see LoadGenerator):
-  // channels outlive server and clients, everything outlives the queue's
-  // drained events.
-  net::EventQueue queue;
-  server::BoundedSessionCache cache(queue, config_.cache);
-  std::vector<std::unique_ptr<net::DuplexChannel>> channels;
-
-  // The server's entropy source is exhaustible — the RngExhaustion fault
-  // drains it live; until then it behaves exactly like a seeded DRBG.
-  ExhaustibleRng server_rng(mix(config_.seed, 0x5E4));
-  server::ServerConfig server_config = config_.server;
-  server_config.handshake.rng = &server_rng;
-  server::SecureSessionServer server(queue, server_config, &cache);
-
-  crypto::HmacDrbg client_engine_rng(mix(config_.seed, 0xE17));
-  engine::ProtocolEngine client_engine(config_.server.engine_profile,
-                                       &client_engine_rng);
-  client_engine.load_program("ccmp-in", engine::ccmp_inbound_program());
-
-  // ---- bearer weather -------------------------------------------------
-  Weather weather;
-  std::vector<net::LossyChannel*> live_channels;
-
-  auto apply_weather = [&](net::LossyChannel& ch) {
-    net::ChannelConfig& cfg = ch.mutable_config();
-    const net::ChannelConfig& base = config_.channel;
-    cfg.loss_rate = weather.blackout_depth > 0 ? 1.0 : base.loss_rate;
-    cfg.bytes_per_sec = weather.collapsed ? weather.collapse_bytes_per_sec
-                                          : base.bytes_per_sec;
-    cfg.ge_enabled = base.ge_enabled || weather.burst;
-    if (weather.burst) {
-      cfg.ge_p_good_to_bad = weather.ge_p_good_to_bad;
-      cfg.ge_p_bad_to_good = weather.ge_p_bad_to_good;
-      cfg.ge_loss_bad = weather.ge_loss_bad;
-    } else {
-      cfg.ge_p_good_to_bad = base.ge_p_good_to_bad;
-      cfg.ge_p_bad_to_good = base.ge_p_bad_to_good;
-      cfg.ge_loss_bad = base.ge_loss_bad;
+/// Reject faults the chosen world cannot deliver, before building it.
+void validate_plan(const FaultPlan& faults, std::size_t shards) {
+  for (const Fault& fault : faults) {
+    // The Shard* lifecycle faults are the ones that name a shard.
+    const std::optional<std::size_t> target = std::visit(
+        [](const auto& f) -> std::optional<std::size_t> {
+          if constexpr (requires { f.shard; })
+            return f.shard;
+          else
+            return std::nullopt;
+        },
+        fault);
+    if (shards == 0) {
+      if (target)
+        throw std::invalid_argument(
+            "chaos: Shard* lifecycle faults need a sharded campaign "
+            "(CampaignConfig::shards >= 1)");
+      continue;
     }
-  };
-  auto reapply_all = [&] {
-    for (net::LossyChannel* ch : live_channels) apply_weather(*ch);
-  };
-
-  // ---- shared connect path -------------------------------------------
-  // Fresh duplex channel per attempt (stale frames can never cross
-  // connections), registered with the weather so faults scheduled later
-  // reach channels created earlier and vice versa.
-  std::uint64_t connect_counter = 0;
-  auto make_link = [&](const net::LinkConfig& link_cfg) {
-    auto channel = std::make_unique<net::DuplexChannel>(
-        queue, config_.channel, config_.channel,
-        mix(config_.seed, 0xC4A17 + connect_counter));
-    ++connect_counter;
-    apply_weather(channel->a_to_b());
-    apply_weather(channel->b_to_a());
-    server.accept(channel->b_to_a(), channel->a_to_b());
-    auto link = std::make_unique<net::ReliableLink>(
-        queue, channel->a_to_b(), channel->b_to_a(), link_cfg);
-    live_channels.push_back(&channel->a_to_b());
-    live_channels.push_back(&channel->b_to_a());
-    channels.push_back(std::move(channel));
-    return link;
-  };
-
-  // ---- honest fleet ---------------------------------------------------
-  std::vector<std::unique_ptr<server::SessionClient>> clients;
-  clients.reserve(config_.honest_clients);
-  crypto::HmacDrbg arrival_rng(mix(config_.seed, 0xA881));
-  net::SimTime arrival = 0;
-  for (std::size_t i = 0; i < config_.honest_clients; ++i) {
-    auto client = std::make_unique<server::SessionClient>(
-        queue, config_.client, static_cast<std::uint32_t>(i), client_engine,
-        mix(config_.seed, 0xC11E57 + i));
-    client->set_connect(
-        [&, link_cfg = config_.client.link](server::SessionClient&) {
-          return make_link(link_cfg);
-        });
-    queue.schedule_at(arrival, [c = client.get()] { c->start(); });
-    arrival +=
-        config_.poisson_arrivals
-            ? exponential_us(arrival_rng,
-                             static_cast<double>(config_.mean_interarrival_us))
-            : config_.mean_interarrival_us;
-    clients.push_back(std::move(client));
-  }
-
-  // ---- fault plan -----------------------------------------------------
-  std::vector<std::unique_ptr<FloodClient>> floods;
-  std::vector<std::unique_ptr<MalformedClient>> vandals;
-  std::uint64_t fault_index = 0;
-
-  for (const Fault& fault : config_.faults) {
-    const std::uint64_t fseed = mix(config_.seed, 0xFA017 + fault_index);
-    ++fault_index;
-
-    if (const auto* f = std::get_if<Blackout>(&fault)) {
-      queue.schedule_at(f->at_us, [&] {
-        ++weather.blackout_depth;
-        reapply_all();
-      });
-      queue.schedule_at(f->at_us + f->duration_us, [&] {
-        --weather.blackout_depth;
-        reapply_all();
-      });
-    } else if (const auto* f = std::get_if<BearerFlap>(&fault)) {
-      for (int i = 0; i < f->flaps; ++i) {
-        const net::SimTime start =
-            f->at_us + static_cast<net::SimTime>(i) * f->period_us;
-        queue.schedule_at(start, [&] {
-          ++weather.blackout_depth;
-          reapply_all();
-        });
-        queue.schedule_at(start + f->outage_us, [&] {
-          --weather.blackout_depth;
-          reapply_all();
-        });
-      }
-    } else if (const auto* f = std::get_if<BurstLoss>(&fault)) {
-      queue.schedule_at(f->at_us, [&, p = *f] {
-        weather.burst = true;
-        weather.ge_p_good_to_bad = p.p_good_to_bad;
-        weather.ge_p_bad_to_good = p.p_bad_to_good;
-        weather.ge_loss_bad = p.loss_bad;
-        reapply_all();
-      });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us, [&] {
-          weather.burst = false;
-          reapply_all();
-        });
-    } else if (const auto* f = std::get_if<BandwidthCollapse>(&fault)) {
-      queue.schedule_at(f->at_us, [&, bps = f->bytes_per_sec] {
-        weather.collapsed = true;
-        weather.collapse_bytes_per_sec = bps;
-        reapply_all();
-      });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us, [&] {
-          weather.collapsed = false;
-          reapply_all();
-        });
-    } else if (const auto* f = std::get_if<DispatchFailure>(&fault)) {
-      queue.schedule_at(f->at_us,
-                        [] { crypto::dispatch::force_scalar(true); });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us,
-                          [prev = dispatch_guard.prev] {
-                            crypto::dispatch::force_scalar(prev);
-                          });
-    } else if (const auto* f = std::get_if<RngExhaustion>(&fault)) {
-      queue.schedule_at(f->at_us, [&] { server_rng.exhaust(); });
-      queue.schedule_at(f->at_us + f->duration_us,
-                        [&] { server_rng.refill(); });
-    } else if (const auto* f = std::get_if<WorkerStall>(&fault)) {
-      queue.schedule_at(f->at_us, [&, w = *f] {
-        server.pipeline_for_chaos().inject_worker_stall(w.worker, w.stall_ns);
-      });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us, [&, w = *f] {
-          server.pipeline_for_chaos().inject_worker_stall(w.worker, 0);
-        });
-    } else if (const auto* f = std::get_if<OffloadStall>(&fault)) {
-      const auto stall_set = [&](const OffloadStall& w, std::uint64_t ns) {
-        engine::OffloadEngine* off = server.offload_for_chaos();
-        if (off == nullptr) return;  // inline pk mode: nothing to stall
-        if (w.all_workers) {
-          for (std::size_t i = 0; i < off->num_workers(); ++i)
-            off->inject_worker_stall(i, ns);
-        } else {
-          off->inject_worker_stall(w.worker, ns);
-        }
-      };
-      queue.schedule_at(f->at_us,
-                        [&, stall_set, w = *f] { stall_set(w, w.stall_ns); });
-      if (f->duration_us != 0)
-        queue.schedule_at(f->at_us + f->duration_us,
-                          [&, stall_set, w = *f] { stall_set(w, 0); });
-    } else if (const auto* f = std::get_if<HandshakeFlood>(&fault)) {
-      for (int a = 0; a < f->attackers; ++a) {
-        FloodConfig fc;
-        fc.handshake = config_.client.handshake;
-        fc.link = config_.client.link;
-        fc.connections = f->connections_each;
-        fc.interarrival_us = f->interarrival_us;
-        fc.reach_key_exchange = f->reach_key_exchange;
-        auto attacker = std::make_unique<FloodClient>(
-            queue, std::move(fc),
-            static_cast<std::uint32_t>(0xF000 + floods.size()),
-            mix(fseed, 0xDD05 + a));
-        attacker->set_connect(
-            [&, link_cfg = config_.client.link](FloodClient&) {
-              return make_link(link_cfg);
-            });
-        queue.schedule_at(f->at_us, [p = attacker.get()] { p->start(); });
-        floods.push_back(std::move(attacker));
-      }
-    } else if (const auto* f = std::get_if<MalformedTraffic>(&fault)) {
-      for (int c = 0; c < f->clients; ++c) {
-        MalformedConfig mc;
-        mc.link = config_.client.link;
-        mc.connections = f->connections_each;
-        mc.messages_per_connection = f->messages_per_connection;
-        mc.interarrival_us = f->interarrival_us;
-        mc.message_gap_us = f->message_gap_us;
-        auto vandal = std::make_unique<MalformedClient>(
-            queue, std::move(mc),
-            static_cast<std::uint32_t>(0xBAD0 + vandals.size()),
-            make_seeded_mutator(mix(fseed, 0x3AD + c),
-                                config_.client.handshake));
-        vandal->set_connect(
-            [&, link_cfg = config_.client.link](MalformedClient&) {
-              return make_link(link_cfg);
-            });
-        queue.schedule_at(f->at_us, [p = vandal.get()] { p->start(); });
-        vandals.push_back(std::move(vandal));
-      }
-    } else if (const auto* f = std::get_if<TicketKeyRotation>(&fault)) {
-      for (int r = 0; r < f->rotations; ++r) {
-        const net::SimTime when =
-            f->at_us + static_cast<net::SimTime>(r) * f->period_us;
-        queue.schedule_at(when, [&] { server.rotate_ticket_key(); });
-      }
-    }
-  }
-
-  // ---- run ------------------------------------------------------------
-  const std::size_t executed = queue.run_all(config_.max_events);
-
-  // ---- judge ----------------------------------------------------------
-  CampaignReport report;
-  report.server = server.stats();
-  report.drained = executed < config_.max_events;
-  report.open_at_end = server.open_connections();
-  report.conserved = server.stats_conserved();
-  report.degraded_time_us = server.degraded_time_us();
-  report.degraded_transitions = report.server.degraded_transitions;
-  report.sim_duration_s = static_cast<double>(queue.now()) / 1e6;
-
-  crypto::Bytes digest_stream;
-  for (const auto& client : clients) {
-    for (const server::SessionRecord& record : client->sessions()) {
-      ++report.sessions_attempted;
-      if (record.completed) ++report.sessions_completed;
-      if (record.failed) ++report.sessions_failed;
-      if (!record.echo_ok) ++report.echo_mismatches;
-      report.honest_refused_attempts +=
-          static_cast<std::size_t>(record.refused_attempts);
-    }
-    digest_stream.insert(digest_stream.end(),
-                         client->transcript_digest().begin(),
-                         client->transcript_digest().end());
-  }
-  report.fleet_digest = crypto::Sha256::hash(digest_stream);
-
-  for (const auto& flood : floods) {
-    report.attack_connections += flood->stats().connections_opened;
-    report.attack_refused += flood->stats().refused;
-    report.attack_bytes += flood->stats().bytes_sent;
-  }
-  for (const auto& vandal : vandals) {
-    report.attack_connections += vandal->stats().connections_opened;
-    report.malformed_messages += vandal->stats().messages_sent;
-    report.attack_bytes += vandal->stats().bytes_sent;
-  }
-
-  report.handshake_energy_mj =
-      static_cast<double>(report.server.handshake_bytes_rx) / 1024.0 *
-          config_.energy.rx_mj_per_kb +
-      static_cast<double>(report.server.handshake_bytes_tx) / 1024.0 *
-          config_.energy.tx_mj_per_kb +
-      static_cast<double>(report.server.handshake_rsa_private_ops) *
-          config_.rsa_mj_per_op;
-  if (report.attack_bytes > 0)
-    report.mj_per_attack_byte =
-        report.handshake_energy_mj /
-        static_cast<double>(report.attack_bytes);
-
-  // ---- invariants -----------------------------------------------------
-  auto flag = [&](const char* what) {
-    if (!report.invariant_failures.empty())
-      report.invariant_failures += "; ";
-    report.invariant_failures += what;
-  };
-  if (!report.drained) flag("event budget exhausted (possible livelock)");
-  if (report.open_at_end != 0) flag("connections left open after drain");
-  if (!report.conserved) flag("connection accounting not conserved");
-  if (report.echo_mismatches != 0) flag("surviving session echo mismatch");
-  if (config_.server.max_pending_echo_bytes != 0 &&
-      report.server.peak_pending_echo_bytes >
-          config_.server.max_pending_echo_bytes + kMemorySlop)
-    flag("pending-echo memory exceeded its bound");
-  if (config_.server.max_deferred_appdata_bytes != 0 &&
-      report.server.peak_deferred_bytes >
-          config_.server.max_deferred_appdata_bytes + kMemorySlop)
-    flag("deferred-appdata memory exceeded its bound");
-
-  return report;
-}
-
-CampaignReport CampaignRunner::run_sharded() {
-  const std::size_t num_shards = config_.shards;
-
-  // Reject faults that cannot be delivered correctly across
-  // concurrently-running shards BEFORE building any world. Stalls have
-  // shard-scoped replacements; the process-global pair has none.
-  for (const Fault& fault : config_.faults) {
-    if (std::get_if<DispatchFailure>(&fault) != nullptr ||
-        std::get_if<RngExhaustion>(&fault) != nullptr)
+    // Stalls have shard-scoped replacements; the process-global pair has
+    // none.
+    if (std::holds_alternative<DispatchFailure>(fault) ||
+        std::holds_alternative<RngExhaustion>(fault))
       throw std::invalid_argument(
           "chaos: DispatchFailure/RngExhaustion flip process-global state "
           "(crypto dispatch, the one exhaustible rng) and cannot be "
           "delivered at a deterministic simulated instant across "
           "concurrently-running shards");
-    if (std::get_if<WorkerStall>(&fault) != nullptr ||
-        std::get_if<OffloadStall>(&fault) != nullptr)
+    if (std::holds_alternative<WorkerStall>(fault) ||
+        std::holds_alternative<OffloadStall>(fault))
       throw std::invalid_argument(
           "chaos: WorkerStall/OffloadStall address a worker index with no "
           "owning shard; use ShardWorkerStall/ShardOffloadStall, which "
           "ride one shard's own queue");
-    if (const auto* f = std::get_if<ShardCrash>(&fault)) {
-      if (f->shard >= num_shards)
-        throw std::invalid_argument("chaos: ShardCrash.shard out of range");
-    } else if (const auto* f = std::get_if<ShardHang>(&fault)) {
-      if (f->shard >= num_shards)
-        throw std::invalid_argument("chaos: ShardHang.shard out of range");
-    } else if (const auto* f = std::get_if<ShardWorkerStall>(&fault)) {
-      if (f->shard >= num_shards)
-        throw std::invalid_argument(
-            "chaos: ShardWorkerStall.shard out of range");
-    } else if (const auto* f = std::get_if<ShardOffloadStall>(&fault)) {
-      if (f->shard >= num_shards)
-        throw std::invalid_argument(
-            "chaos: ShardOffloadStall.shard out of range");
-    }
+    if (target && *target >= shards)
+      throw std::invalid_argument("chaos: Shard* fault's shard out of range");
   }
+}
 
-  // Per-shard worlds, declared before the tier (lifetime order: channels
-  // outlive servers). Each shard's thread only ever touches index s of
-  // these — the same disjoint-world contract ShardExecutor enforces for
-  // the queues. Honest attempt ordinals live in a per-key vector (each
-  // element touched only by the thread currently running that client's
-  // world) so a failover migration continues the count instead of
-  // restarting it; attack keys never migrate, so per-shard maps suffice.
-  std::vector<std::vector<std::unique_ptr<net::DuplexChannel>>> channels(
-      num_shards);
-  std::vector<Weather> weather(num_shards);
-  std::vector<std::vector<net::LossyChannel*>> live_channels(num_shards);
-  std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> attempts(
-      num_shards);
-  std::vector<std::uint32_t> honest_attempts(config_.honest_clients, 0);
+}  // namespace
 
-  server::ShardedServerConfig scfg;
-  scfg.shards = num_shards;
-  scfg.slice_us = config_.slice_us;
-  scfg.server = config_.server;
-  scfg.cache = config_.cache;
-  server::ShardSupervisor tier(scfg);
-  tier.set_watchdog_wall_ms(config_.watchdog_wall_ms);
+CampaignReport CampaignRunner::run() {
+  validate_plan(config_.faults, config_.shards);
+  DispatchGuard dispatch_guard;
 
-  std::vector<std::unique_ptr<crypto::HmacDrbg>> engine_rngs;
-  std::vector<std::unique_ptr<engine::ProtocolEngine>> engines;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    engine_rngs.push_back(
-        std::make_unique<crypto::HmacDrbg>(mix(config_.seed, 0xE17 + s)));
-    engines.push_back(std::make_unique<engine::ProtocolEngine>(
-        config_.server.engine_profile, engine_rngs.back().get()));
-    engines.back()->load_program("ccmp-in", engine::ccmp_inbound_program());
-  }
+  // The single loop's entropy source is exhaustible — the RngExhaustion
+  // fault drains it live; until then it behaves exactly like a seeded DRBG.
+  ExhaustibleRng server_rng(server::fleet_server_seed(config_.seed));
 
+  // The honest fleet: on the tier, a supervised one — honest clients bind
+  // for failover-aware routing (attackers keep the stable hash home; a
+  // dead shard just doesn't answer their dial).
+  server::LoadConfig fleet;
+  fleet.num_clients = config_.honest_clients;
+  fleet.mean_interarrival_us = config_.mean_interarrival_us;
+  fleet.poisson_arrivals = config_.poisson_arrivals;
+  fleet.channel = config_.channel;
+  fleet.seed = config_.seed;
+  fleet.shards = config_.shards;
+  fleet.slice_us = config_.slice_us;
+  server::FleetWorld world(fleet, config_.server, config_.client,
+                           config_.cache, &server_rng, /*supervised=*/true);
+  server::ShardSupervisor* const tier = world.supervisor();
+  if (tier != nullptr) tier->set_watchdog_wall_ms(config_.watchdog_wall_ms);
+
+  // ---- bearer weather -------------------------------------------------
+  // Each world's bearer state is local to it. Every new channel takes its
+  // world's current weather and is registered, so faults scheduled later
+  // reach channels created earlier and vice versa.
+  std::vector<Weather> weather(world.worlds());
+  std::vector<std::vector<net::LossyChannel*>> live_channels(world.worlds());
   auto apply_weather = [this](const Weather& w, net::LossyChannel& ch) {
     net::ChannelConfig& cfg = ch.mutable_config();
     const net::ChannelConfig& base = config_.channel;
@@ -458,83 +132,25 @@ CampaignReport CampaignRunner::run_sharded() {
       cfg.ge_loss_bad = base.ge_loss_bad;
     }
   };
-  auto reapply_shard = [&](std::size_t s) {
-    for (net::LossyChannel* ch : live_channels[s])
-      apply_weather(weather[s], *ch);
+  auto reapply = [&](std::size_t w) {
+    for (net::LossyChannel* ch : live_channels[w])
+      apply_weather(weather[w], *ch);
   };
-
-  // Shared connect path, parameterised by connection key: the channel,
-  // link, accept and bookkeeping all live on the key's shard. The wire
-  // identity is (key, per-key attempt ordinal) — independent of shard
-  // count AND of placement, so every on-the-wire byte is too (which is
-  // why a failed-over client's transcript matches an undisturbed run's).
-  // A dead shard simply never answers: the dial still burns the attempt
-  // (bound clients are always routed to a live shard, so only attack
-  // keys whose stable home is down ever hit this).
-  auto make_link = [&](std::uint32_t conn_key,
-                       const net::LinkConfig& link_cfg) {
-    const std::size_t s = tier.shard_of(conn_key);
-    net::EventQueue& queue = tier.queue(s);
-    const std::uint32_t attempt =
-        conn_key < honest_attempts.size() ? honest_attempts[conn_key]++
-                                          : attempts[s][conn_key]++;
-    const std::uint32_t wire_id = server::make_wire_id(conn_key, attempt);
-    auto channel = std::make_unique<net::DuplexChannel>(
-        queue, config_.channel, config_.channel,
-        mix(config_.seed, 0xC4A17 + wire_id));
-    apply_weather(weather[s], channel->a_to_b());
-    apply_weather(weather[s], channel->b_to_a());
-    if (tier.shard_alive(s)) {
-      server::SecureSessionServer::AcceptOptions opts;
-      opts.wire_id = wire_id;
-      opts.rng_seed = mix(mix(config_.seed, 0x5E4), wire_id);
-      tier.accept(conn_key, channel->b_to_a(), channel->a_to_b(), opts);
-    }
-    auto link = std::make_unique<net::ReliableLink>(
-        queue, channel->a_to_b(), channel->b_to_a(), link_cfg);
-    live_channels[s].push_back(&channel->a_to_b());
-    live_channels[s].push_back(&channel->b_to_a());
-    channels[s].push_back(std::move(channel));
-    return link;
-  };
-
-  // ---- honest fleet ---------------------------------------------------
-  // Honest clients BIND: the supervisor routes them by rendezvous over
-  // the live shards and migrates them (with their queue rebinding and
-  // ticket-first reconnect) when their shard dies. Client seeds and
-  // arrival times are placement-independent, so the fleet digest is too.
-  std::vector<std::unique_ptr<server::SessionClient>> clients;
-  clients.reserve(config_.honest_clients);
-  crypto::HmacDrbg arrival_rng(mix(config_.seed, 0xA881));
-  net::SimTime arrival = 0;
-  for (std::size_t i = 0; i < config_.honest_clients; ++i) {
-    const auto key = static_cast<std::uint32_t>(i);
-    const std::size_t s =
-        server::shard_for_live(key, num_shards, tier.routable());
-    auto client = std::make_unique<server::SessionClient>(
-        tier.queue(s), config_.client, key, *engines[s],
-        mix(config_.seed, 0xC11E57 + i));
-    client->set_connect(
-        [&make_link, key, link_cfg = config_.client.link](
-            server::SessionClient&) { return make_link(key, link_cfg); });
-    tier.bind_client(key, client.get());
-    client->schedule_start(arrival);
-    arrival +=
-        config_.poisson_arrivals
-            ? exponential_us(arrival_rng,
-                             static_cast<double>(config_.mean_interarrival_us))
-            : config_.mean_interarrival_us;
-    clients.push_back(std::move(client));
-  }
+  world.set_on_channel([&](std::size_t w, net::DuplexChannel& channel) {
+    apply_weather(weather[w], channel.a_to_b());
+    apply_weather(weather[w], channel.b_to_a());
+    live_channels[w].push_back(&channel.a_to_b());
+    live_channels[w].push_back(&channel.b_to_a());
+  });
 
   // ---- fault plan -----------------------------------------------------
-  // Bearer weather is shard-local state flipped by identical events
-  // scheduled on EVERY shard's queue at the same simulated times, so each
-  // shard's bearer degrades and recovers in lockstep without any
-  // cross-thread traffic. The flips are kept as a PLAN (not just queue
-  // events): a hard-killed shard loses its scheduled flips with the rest
-  // of its world, so the rejoin hook below replays the past ones into a
-  // fresh Weather and re-schedules the future ones.
+  // Bearer weather is flipped by identical events scheduled on EVERY
+  // world's queue at the same simulated times, so each shard's bearer
+  // degrades and recovers in lockstep without any cross-thread traffic.
+  // The flips are kept as a PLAN (not just queue events): a hard-killed
+  // shard loses its scheduled flips with the rest of its world, so the
+  // rejoin hook below replays the past ones into a fresh Weather and
+  // re-schedules the future ones.
   std::vector<std::unique_ptr<FloodClient>> floods;
   std::vector<std::unique_ptr<MalformedClient>> vandals;
   std::uint64_t fault_index = 0;
@@ -552,8 +168,41 @@ CampaignReport CampaignRunner::run_sharded() {
     weather_plan.push_back({at, std::move(fn)});
   };
 
+  // Pipeline and offload stalls ride the target world's own queue (world
+  // 0 on the single loop): they land at a deterministic simulated instant
+  // and run on the one thread that owns the stalled engine. A shard's
+  // stall dies with it if it crashes first; a rejoined shard's fresh
+  // engines start unstalled.
+  auto stall_window = [&world](std::size_t w, net::SimTime at,
+                               net::SimTime duration,
+                               std::function<void(std::uint64_t)> set,
+                               std::uint64_t stall_ns) {
+    world.queue(w).schedule_at(at, [set, stall_ns] { set(stall_ns); });
+    if (duration != 0)
+      world.queue(w).schedule_at(at + duration, [set] { set(0); });
+  };
+  auto pipeline_stall = [&world](std::size_t w, std::size_t worker) {
+    return [&world, w, worker](std::uint64_t ns) {
+      world.server(w).pipeline_for_chaos().inject_worker_stall(worker, ns);
+    };
+  };
+  auto offload_stall = [&world](std::size_t w, std::size_t worker,
+                                bool all_workers) {
+    return [&world, w, worker, all_workers](std::uint64_t ns) {
+      engine::OffloadEngine* off = world.server(w).offload_for_chaos();
+      if (off == nullptr) return;  // inline pk mode: nothing to stall
+      if (all_workers) {
+        for (std::size_t i = 0; i < off->num_workers(); ++i)
+          off->inject_worker_stall(i, ns);
+      } else {
+        off->inject_worker_stall(worker, ns);
+      }
+    };
+  };
+
   for (const Fault& fault : config_.faults) {
-    const std::uint64_t fseed = mix(config_.seed, 0xFA017 + fault_index);
+    const std::uint64_t fseed =
+        server::load_sub_seed(config_.seed, 0xFA017 + fault_index);
     ++fault_index;
 
     if (const auto* f = std::get_if<Blackout>(&fault)) {
@@ -586,16 +235,42 @@ CampaignReport CampaignRunner::run_sharded() {
       if (f->duration_us != 0)
         weather_event(f->at_us + f->duration_us,
                       [](Weather& w) { w.collapsed = false; });
+    } else if (const auto* f = std::get_if<DispatchFailure>(&fault)) {
+      world.queue(0).schedule_at(
+          f->at_us, [] { crypto::dispatch::force_scalar(true); });
+      if (f->duration_us != 0)
+        world.queue(0).schedule_at(f->at_us + f->duration_us,
+                                   [prev = dispatch_guard.prev] {
+                                     crypto::dispatch::force_scalar(prev);
+                                   });
+    } else if (const auto* f = std::get_if<RngExhaustion>(&fault)) {
+      world.queue(0).schedule_at(f->at_us, [&] { server_rng.exhaust(); });
+      world.queue(0).schedule_at(f->at_us + f->duration_us,
+                                 [&] { server_rng.refill(); });
+    } else if (const auto* f = std::get_if<WorkerStall>(&fault)) {
+      stall_window(0, f->at_us, f->duration_us, pipeline_stall(0, f->worker),
+                   f->stall_ns);
+    } else if (const auto* f = std::get_if<ShardWorkerStall>(&fault)) {
+      stall_window(f->shard, f->at_us, f->duration_us,
+                   pipeline_stall(f->shard, f->worker), f->stall_ns);
+    } else if (const auto* f = std::get_if<OffloadStall>(&fault)) {
+      stall_window(0, f->at_us, f->duration_us,
+                   offload_stall(0, f->worker, f->all_workers), f->stall_ns);
+    } else if (const auto* f = std::get_if<ShardOffloadStall>(&fault)) {
+      stall_window(f->shard, f->at_us, f->duration_us,
+                   offload_stall(f->shard, f->worker, f->all_workers),
+                   f->stall_ns);
     } else if (const auto* f = std::get_if<ShardCrash>(&fault)) {
       const net::SimTime repair =
           f->repair_us == 0 ? server::ShardSupervisor::kNoRepair
                             : f->repair_us;
       if (f->graceful) {
         ++planned_drains;
-        tier.schedule_drain(f->at_us, f->shard, f->drain_deadline_us, repair);
+        tier->schedule_drain(f->at_us, f->shard, f->drain_deadline_us,
+                             repair);
       } else {
         ++planned_crashes;
-        tier.schedule_crash(f->at_us, f->shard, repair);
+        tier->schedule_crash(f->at_us, f->shard, repair);
       }
       if (f->repair_us != 0) ++planned_rejoins;
     } else if (const auto* f = std::get_if<ShardHang>(&fault)) {
@@ -603,41 +278,8 @@ CampaignReport CampaignRunner::run_sharded() {
           f->repair_us == 0 ? server::ShardSupervisor::kNoRepair
                             : f->repair_us;
       ++planned_hangs;
-      tier.schedule_hang(f->at_us, f->shard, repair);
+      tier->schedule_hang(f->at_us, f->shard, repair);
       if (f->repair_us != 0) ++planned_rejoins;
-    } else if (const auto* f = std::get_if<ShardWorkerStall>(&fault)) {
-      // Rides the target shard's own queue: lands at a deterministic
-      // simulated instant and is executed by the one thread that owns
-      // that pipeline. Dies with the shard if it crashes first; a
-      // rejoined shard's fresh pipeline starts unstalled.
-      tier.queue(f->shard).schedule_at(f->at_us, [&tier, w = *f] {
-        tier.server(w.shard).pipeline_for_chaos().inject_worker_stall(
-            w.worker, w.stall_ns);
-      });
-      if (f->duration_us != 0)
-        tier.queue(f->shard).schedule_at(
-            f->at_us + f->duration_us, [&tier, w = *f] {
-              tier.server(w.shard).pipeline_for_chaos().inject_worker_stall(
-                  w.worker, 0);
-            });
-    } else if (const auto* f = std::get_if<ShardOffloadStall>(&fault)) {
-      const auto stall_set = [&tier](const ShardOffloadStall& w,
-                                     std::uint64_t ns) {
-        engine::OffloadEngine* off = tier.server(w.shard).offload_for_chaos();
-        if (off == nullptr) return;  // inline pk mode: nothing to stall
-        if (w.all_workers) {
-          for (std::size_t i = 0; i < off->num_workers(); ++i)
-            off->inject_worker_stall(i, ns);
-        } else {
-          off->inject_worker_stall(w.worker, ns);
-        }
-      };
-      tier.queue(f->shard).schedule_at(
-          f->at_us, [stall_set, w = *f] { stall_set(w, w.stall_ns); });
-      if (f->duration_us != 0)
-        tier.queue(f->shard).schedule_at(
-            f->at_us + f->duration_us,
-            [stall_set, w = *f] { stall_set(w, 0); });
     } else if (const auto* f = std::get_if<HandshakeFlood>(&fault)) {
       for (int a = 0; a < f->attackers; ++a) {
         FloodConfig fc;
@@ -647,15 +289,15 @@ CampaignReport CampaignRunner::run_sharded() {
         fc.interarrival_us = f->interarrival_us;
         fc.reach_key_exchange = f->reach_key_exchange;
         const auto key = static_cast<std::uint32_t>(0xF000 + floods.size());
+        net::EventQueue& queue = world.queue(world.world_of(key));
         auto attacker = std::make_unique<FloodClient>(
-            tier.queue(tier.shard_of(key)), std::move(fc), key,
-            mix(fseed, 0xDD05 + a));
+            queue, std::move(fc), key,
+            server::load_sub_seed(fseed, 0xDD05 + a));
         attacker->set_connect(
-            [&make_link, key, link_cfg = config_.client.link](FloodClient&) {
-              return make_link(key, link_cfg);
+            [&world, key, link = config_.client.link](FloodClient&) {
+              return world.connect(key, link);
             });
-        tier.queue(tier.shard_of(key))
-            .schedule_at(f->at_us, [p = attacker.get()] { p->start(); });
+        queue.schedule_at(f->at_us, [p = attacker.get()] { p->start(); });
         floods.push_back(std::move(attacker));
       }
     } else if (const auto* f = std::get_if<MalformedTraffic>(&fault)) {
@@ -667,106 +309,93 @@ CampaignReport CampaignRunner::run_sharded() {
         mc.interarrival_us = f->interarrival_us;
         mc.message_gap_us = f->message_gap_us;
         const auto key = static_cast<std::uint32_t>(0xBAD0 + vandals.size());
+        net::EventQueue& queue = world.queue(world.world_of(key));
         auto vandal = std::make_unique<MalformedClient>(
-            tier.queue(tier.shard_of(key)), std::move(mc), key,
-            make_seeded_mutator(mix(fseed, 0x3AD + c),
+            queue, std::move(mc), key,
+            make_seeded_mutator(server::load_sub_seed(fseed, 0x3AD + c),
                                 config_.client.handshake));
         vandal->set_connect(
-            [&make_link, key,
-             link_cfg = config_.client.link](MalformedClient&) {
-              return make_link(key, link_cfg);
+            [&world, key, link = config_.client.link](MalformedClient&) {
+              return world.connect(key, link);
             });
-        tier.queue(tier.shard_of(key))
-            .schedule_at(f->at_us, [p = vandal.get()] { p->start(); });
+        queue.schedule_at(f->at_us, [p = vandal.get()] { p->start(); });
         vandals.push_back(std::move(vandal));
       }
     } else if (const auto* f = std::get_if<TicketKeyRotation>(&fault)) {
-      // Through the epoch-barrier control channel: every shard rotates at
-      // the same barrier, in deterministic order against other control
-      // messages, so ticket epochs stay in lockstep fleet-wide. A shard
-      // that was dead for a rotation replays it from the recorded control
-      // history at rejoin, keeping every ring in epoch lockstep.
-      for (int r = 0; r < f->rotations; ++r)
-        tier.rotate_ticket_keys(f->at_us +
-                                static_cast<net::SimTime>(r) * f->period_us);
+      // On the tier, through the epoch-barrier control channel: every
+      // shard rotates at the same barrier, in deterministic order against
+      // other control messages, and a shard that was dead for a rotation
+      // replays it from the recorded control history at rejoin — ring
+      // epochs stay in lockstep fleet-wide.
+      for (int r = 0; r < f->rotations; ++r) {
+        const net::SimTime when =
+            f->at_us + static_cast<net::SimTime>(r) * f->period_us;
+        if (tier != nullptr)
+          tier->rotate_ticket_keys(when);
+        else
+          world.queue(0).schedule_at(
+              when, [&world] { world.server(0).rotate_ticket_key(); });
+      }
     }
   }
 
-  // Schedule the weather plan in time order on every shard (stable, so
+  // Schedule the weather plan in time order on every world (stable, so
   // same-instant flips keep plan order), and arm the rejoin hook that
   // rebuilds a returning shard's weather world: past flips replayed into
   // a fresh Weather, future flips re-scheduled on the (cleared) queue.
   std::stable_sort(
       weather_plan.begin(), weather_plan.end(),
       [](const WeatherFlip& a, const WeatherFlip& b) { return a.at < b.at; });
-  for (std::size_t s = 0; s < num_shards; ++s)
-    for (const WeatherFlip& flip : weather_plan)
-      tier.queue(s).schedule_at(flip.at, [&, s, fn = flip.fn] {
-        fn(weather[s]);
-        reapply_shard(s);
-      });
-  tier.set_on_rejoin([&](std::size_t s) {
-    const net::SimTime now = tier.queue(s).now();
-    weather[s] = Weather{};
-    for (const WeatherFlip& flip : weather_plan) {
-      if (flip.at <= now) {
-        flip.fn(weather[s]);
-      } else {
-        tier.queue(s).schedule_at(flip.at, [&, s, fn = flip.fn] {
-          fn(weather[s]);
-          reapply_shard(s);
-        });
+  auto schedule_flip = [&](std::size_t w, const WeatherFlip& flip) {
+    world.queue(w).schedule_at(flip.at, [&, w, fn = flip.fn] {
+      fn(weather[w]);
+      reapply(w);
+    });
+  };
+  for (std::size_t w = 0; w < world.worlds(); ++w)
+    for (const WeatherFlip& flip : weather_plan) schedule_flip(w, flip);
+  if (tier != nullptr)
+    tier->set_on_rejoin([&](std::size_t s) {
+      const net::SimTime now = world.queue(s).now();
+      weather[s] = Weather{};
+      for (const WeatherFlip& flip : weather_plan) {
+        if (flip.at <= now)
+          flip.fn(weather[s]);
+        else
+          schedule_flip(s, flip);
       }
-    }
-    reapply_shard(s);
-  });
+      reapply(s);
+    });
 
   // ---- run ------------------------------------------------------------
-  const server::ShardedServer::RunStats rs = tier.run(config_.max_events);
+  const server::ShardedServer::RunStats rs = world.run(config_.max_events);
 
   // ---- judge ----------------------------------------------------------
   CampaignReport report;
-  report.server = tier.fleet_stats();
+  static_cast<server::FleetTally&>(report) =
+      server::tally_fleet(world.clients());
+  report.server = world.stats();
   report.drained = rs.drained;
-  report.open_at_end = tier.open_connections();
-  report.conserved = tier.conserved();
+  report.open_at_end = world.open_connections();
+  report.conserved = world.conserved();
   report.degraded_time_us = rs.degraded_time_us;
   report.degraded_transitions = rs.degraded_transitions;
-  net::SimTime end = 0;
-  for (std::size_t s = 0; s < num_shards; ++s)
-    end = std::max(end, tier.queue(s).now());
-  report.sim_duration_s = static_cast<double>(end) / 1e6;
+  report.sim_duration_s = static_cast<double>(world.now()) / 1e6;
 
-  crypto::Bytes digest_stream;
+  if (tier != nullptr) {
+    const server::ShardSupervisor::FailoverStats& fs = tier->failover_stats();
+    report.shard_crashes = fs.crashes;
+    report.shard_hangs_detected = fs.hangs_detected;
+    report.shard_drains = fs.drains;
+    report.shard_rejoins = fs.rejoins;
+    report.clients_migrated = fs.clients_migrated;
+    report.connections_killed = fs.connections_killed;
+    report.missed_heartbeats = fs.missed_heartbeats;
+  }
   std::vector<net::SimTime> blackouts;
-  for (const auto& client : clients) {
-    for (const server::SessionRecord& record : client->sessions()) {
-      ++report.sessions_attempted;
-      if (record.completed) ++report.sessions_completed;
-      if (record.failed) ++report.sessions_failed;
-      if (!record.echo_ok) ++report.echo_mismatches;
-      report.honest_refused_attempts +=
-          static_cast<std::size_t>(record.refused_attempts);
-    }
-    report.client_reconnects += static_cast<std::size_t>(client->reconnects());
-    report.failover_resumes +=
-        static_cast<std::size_t>(client->failover_resumes());
+  for (const auto& client : world.clients())
     blackouts.insert(blackouts.end(), client->failover_blackouts_us().begin(),
                      client->failover_blackouts_us().end());
-    digest_stream.insert(digest_stream.end(),
-                         client->transcript_digest().begin(),
-                         client->transcript_digest().end());
-  }
-  report.fleet_digest = crypto::Sha256::hash(digest_stream);
-
-  const server::ShardSupervisor::FailoverStats& fs = tier.failover_stats();
-  report.shard_crashes = fs.crashes;
-  report.shard_hangs_detected = fs.hangs_detected;
-  report.shard_drains = fs.drains;
-  report.shard_rejoins = fs.rejoins;
-  report.clients_migrated = fs.clients_migrated;
-  report.connections_killed = fs.connections_killed;
-  report.missed_heartbeats = fs.missed_heartbeats;
   if (!blackouts.empty()) {
     std::sort(blackouts.begin(), blackouts.end());
     const auto pct = [&](double p) {
@@ -801,6 +430,7 @@ CampaignReport CampaignRunner::run_sharded() {
         report.handshake_energy_mj /
         static_cast<double>(report.attack_bytes);
 
+  // ---- invariants -----------------------------------------------------
   auto flag = [&](const char* what) {
     if (!report.invariant_failures.empty())
       report.invariant_failures += "; ";

@@ -92,12 +92,14 @@ constexpr void store_le64(std::uint8_t* p, std::uint64_t v) {
   store_le32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
+// The complementary shift is masked so n = 0 stays defined (a shift by 32
+// is undefined behaviour); compilers still emit a single rotate.
 constexpr std::uint32_t rotl32(std::uint32_t x, unsigned n) {
-  return (x << n) | (x >> (32 - n));
+  return (x << n) | (x >> ((32 - n) & 31));
 }
 
 constexpr std::uint32_t rotr32(std::uint32_t x, unsigned n) {
-  return (x >> n) | (x << (32 - n));
+  return (x >> n) | (x << ((32 - n) & 31));
 }
 
 /// FNV-1a over a byte string; the hash functor for every hashed

@@ -34,7 +34,6 @@
 #include "mapsec/analysis/stats.hpp"
 #include "mapsec/platform/gap.hpp"
 #include "mapsec/server/client.hpp"
-#include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/server.hpp"
 #include "mapsec/server/session_cache.hpp"
 
@@ -235,54 +234,6 @@ class ShardedServer {
   std::uint64_t fleet_degraded_transitions_ = 0;
   double fleet_degraded_time_us_ = 0;
   net::SimTime barrier_time_ = 0;
-};
-
-// ---------------------------------------------------------------------
-// Sharded load generation: the LoadGenerator harness against the sharded
-// tier. Client i keeps the seed and arrival time it would have in the
-// single-loop harness; only the queue its world lives on changes with the
-// shard count, which is exactly what the digest-invariance tests pin.
-
-struct ShardedLoadConfig {
-  LoadConfig base;
-  std::size_t shards = 1;
-  net::SimTime slice_us = 1'000;
-};
-
-struct ShardedLoadReport {
-  /// Fleet view, same shape the single-loop harness reports (stats are
-  /// the per-shard sums; the digest spans all clients in client order).
-  LoadReport fleet;
-  std::vector<ShardBreakdown> shards;
-  std::uint64_t epochs = 0;
-  std::uint64_t control_applied = 0;
-  std::size_t peak_open_connections = 0;
-  /// Fleet p99 handshake latency off the MERGED per-shard histograms
-  /// (analysis::merge — exact aggregation, not a p99-of-p99s).
-  double handshake_hist_p99_ms = 0;
-  bool conserved = false;
-  platform::ShardedGapReport sharded_gap;
-};
-
-class ShardedLoadGenerator {
- public:
-  ShardedLoadGenerator(ShardedLoadConfig load, ServerConfig server,
-                       ClientConfig client_template,
-                       BoundedSessionCache::Config cache)
-      : load_(std::move(load)),
-        server_(std::move(server)),
-        client_(std::move(client_template)),
-        cache_(cache) {}
-
-  /// Build the sharded world, run it to quiescence, aggregate. Each call
-  /// is an independent, fully-seeded run.
-  ShardedLoadReport run();
-
- private:
-  ShardedLoadConfig load_;
-  ServerConfig server_;
-  ClientConfig client_;
-  BoundedSessionCache::Config cache_;
 };
 
 }  // namespace mapsec::server

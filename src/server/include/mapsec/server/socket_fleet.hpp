@@ -124,19 +124,13 @@ struct SocketLoadConfig {
   net::SimTime clock_origin_us = 0;
 };
 
-struct SocketClientReport {
-  std::size_t sessions_attempted = 0;
-  std::size_t sessions_completed = 0;
-  std::size_t sessions_failed = 0;
-  std::size_t echo_mismatches = 0;
-  std::size_t connection_attempts = 0;
+/// The tally (and its fleet_digest) covers this fleet's own clients.
+struct SocketClientReport : FleetTally {
   std::uint64_t bearer_errors = 0;
   /// Per-client transcript digests in client order — the parent of a
   /// multi-process run concatenates the blocks (process order = id
   /// order) and folds them into the global fleet digest.
   std::vector<crypto::Bytes> client_digests;
-  /// fold_fleet_digest over this fleet's own clients.
-  crypto::Bytes fleet_digest;
   ArenaUsage arena;
   net::SocketStats sockets;
   bool all_finished = false;

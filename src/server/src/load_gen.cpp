@@ -1,11 +1,13 @@
 #include "mapsec/server/load_gen.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "mapsec/analysis/stats.hpp"
 #include "mapsec/crypto/sha256.hpp"
 #include "mapsec/net/sim_clock.hpp"
+#include "mapsec/server/supervisor.hpp"
 
 namespace mapsec::server {
 
@@ -19,6 +21,23 @@ std::uint64_t load_sub_seed(std::uint64_t seed, std::uint64_t n) {
   return seed ^ (n * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
 }
 
+std::vector<net::SimTime> fleet_arrivals(std::uint64_t seed,
+                                         std::size_t first, std::size_t count,
+                                         net::SimTime mean_interarrival_us,
+                                         bool poisson) {
+  crypto::HmacDrbg rng(fleet_arrival_seed(seed));
+  std::vector<net::SimTime> out;
+  out.reserve(count);
+  net::SimTime arrival = 0;
+  for (std::size_t g = 0; g < first + count; ++g) {
+    if (g >= first) out.push_back(arrival);
+    arrival += poisson ? load_exponential_us(
+                             rng, static_cast<double>(mean_interarrival_us))
+                       : mean_interarrival_us;
+  }
+  return out;
+}
+
 crypto::Bytes fold_fleet_digest(
     const std::vector<crypto::ConstBytes>& lanes) {
   // Hash every lane through the multi-buffer sweep (lane-for-lane
@@ -30,91 +49,226 @@ crypto::Bytes fold_fleet_digest(
   return crypto::Sha256::hash(digest_stream);
 }
 
-LoadReport LoadGenerator::run() {
-  // Declaration order doubles as lifetime order: channels must outlive
-  // the server and the clients (their links detach from channels on
-  // destruction), and everything outlives the queue's drained events.
-  net::EventQueue queue;
-  BoundedSessionCache cache(queue, cache_);
-  std::vector<std::unique_ptr<net::DuplexChannel>> channels;
-
-  // Each run() seeds its own server rng so repeated runs (and runs that
-  // differ only in worker count) are bit-identical.
-  crypto::HmacDrbg server_rng(fleet_server_seed(load_.seed));
-  ServerConfig server_config = server_;
-  server_config.handshake.rng = &server_rng;
-  SecureSessionServer server(queue, server_config, &cache);
-
-  // Client-side engine for opening the server's CCM bulk records.
-  crypto::HmacDrbg client_engine_rng(fleet_engine_seed(load_.seed));
-  engine::ProtocolEngine client_engine(server_.engine_profile,
-                                       &client_engine_rng);
-  client_engine.load_program("ccmp-in", engine::ccmp_inbound_program());
-
-  std::vector<std::unique_ptr<SessionClient>> clients;
-  clients.reserve(load_.num_clients);
-  std::uint64_t connect_counter = 0;
-
-  crypto::HmacDrbg arrival_rng(fleet_arrival_seed(load_.seed));
-  net::SimTime arrival = 0;
-  for (std::size_t i = 0; i < load_.num_clients; ++i) {
-    auto client = std::make_unique<SessionClient>(
-        queue, client_, static_cast<std::uint32_t>(i), client_engine,
-        fleet_client_seed(load_.seed, i));
-    client->set_connect([this, &queue, &channels, &server,
-                         &connect_counter](SessionClient&) {
-      // Fresh channel per attempt: stale frames of an abandoned attempt
-      // can never reach the new connection's link.
-      auto channel = std::make_unique<net::DuplexChannel>(
-          queue, load_.channel, load_.channel,
-          fleet_channel_seed(load_.seed, connect_counter));
-      ++connect_counter;
-      // Client is the "a" side.
-      server.accept(channel->b_to_a(), channel->a_to_b());
-      auto link = std::make_unique<net::ReliableLink>(
-          queue, channel->a_to_b(), channel->b_to_a(), client_.link);
-      channels.push_back(std::move(channel));
-      return link;
-    });
-    queue.schedule_at(arrival,
-                      [c = client.get()] { c->start(); });
-    arrival += load_.poisson_arrivals
-                   ? load_exponential_us(
-                         arrival_rng,
-                         static_cast<double>(load_.mean_interarrival_us))
-                   : load_.mean_interarrival_us;
-    clients.push_back(std::move(client));
-  }
-
-  queue.run_all(load_.max_events);
-
-  // ---- aggregate -----------------------------------------------------
-  LoadReport report;
-  report.server = server.stats();
-  report.cache = cache.stats();
-  report.cache_hit_rate = cache.hit_rate();
-  report.cache_state_bytes = cache.resumption_state_bytes();
-  report.ticket_state_bytes = server.ticket_state_bytes();
-
-  // Fleet digest: fold every client's chained transcript digest in
-  // client order. The digest is a pure function of the transcripts —
-  // independent of backend, worker count, offload batch width, and
-  // bearer (sim or socket).
+FleetTally tally_fleet(
+    const std::vector<std::unique_ptr<SessionClient>>& clients) {
+  FleetTally tally;
   std::vector<crypto::ConstBytes> lanes;
   lanes.reserve(clients.size());
   for (const auto& client : clients) {
     for (const SessionRecord& record : client->sessions()) {
-      ++report.sessions_attempted;
-      report.connection_attempts += static_cast<std::size_t>(record.attempts);
-      if (record.completed) ++report.sessions_completed;
-      if (record.failed) ++report.sessions_failed;
-      if (!record.echo_ok) ++report.echo_mismatches;
+      ++tally.sessions_attempted;
+      tally.connection_attempts += static_cast<std::size_t>(record.attempts);
+      tally.refused_attempts +=
+          static_cast<std::size_t>(record.refused_attempts);
+      if (record.completed) ++tally.sessions_completed;
+      if (record.failed) ++tally.sessions_failed;
+      if (!record.echo_ok) ++tally.echo_mismatches;
     }
+    tally.client_reconnects += static_cast<std::size_t>(client->reconnects());
+    tally.failover_resumes +=
+        static_cast<std::size_t>(client->failover_resumes());
     lanes.push_back(client->transcript_digest());
   }
-  report.fleet_digest = fold_fleet_digest(lanes);
+  tally.fleet_digest = fold_fleet_digest(lanes);
+  return tally;
+}
 
-  report.sim_duration_s = static_cast<double>(queue.now()) / 1e6;
+// ---- FleetWorld -----------------------------------------------------------
+
+FleetWorld::FleetWorld(const LoadConfig& load, const ServerConfig& server,
+                       const ClientConfig& client,
+                       const BoundedSessionCache::Config& cache,
+                       crypto::Rng* server_rng, bool supervised)
+    : load_(load) {
+  if (load_.shards == 0) {
+    queue_ = std::make_unique<net::EventQueue>();
+    cache_ = std::make_unique<BoundedSessionCache>(*queue_, cache);
+    // Each world seeds its own server rng so repeated runs (and runs that
+    // differ only in worker count) are bit-identical.
+    if (server_rng == nullptr) {
+      own_server_rng_ =
+          std::make_unique<crypto::HmacDrbg>(fleet_server_seed(load_.seed));
+      server_rng = own_server_rng_.get();
+    }
+    ServerConfig cfg = server;
+    cfg.handshake.rng = server_rng;
+    server_ = std::make_unique<SecureSessionServer>(*queue_, std::move(cfg),
+                                                    cache_.get());
+  } else {
+    ShardedServerConfig scfg;
+    scfg.shards = load_.shards;
+    scfg.slice_us = load_.slice_us;
+    scfg.server = server;
+    scfg.cache = cache;
+    if (supervised) {
+      auto sup = std::make_unique<ShardSupervisor>(std::move(scfg));
+      supervisor_ = sup.get();
+      tier_ = std::move(sup);
+    } else {
+      tier_ = std::make_unique<ShardedServer>(std::move(scfg));
+    }
+    honest_attempts_.assign(load_.num_clients, 0);
+    other_attempts_.resize(tier_->shards());
+  }
+  channels_.resize(tier_ ? tier_->shards() : 1);
+
+  for (std::size_t w = 0; w < worlds(); ++w) {
+    engine_rngs_.push_back(std::make_unique<crypto::HmacDrbg>(
+        load_sub_seed(load_.seed, 0xE17 + w)));
+    engines_.push_back(std::make_unique<engine::ProtocolEngine>(
+        server.engine_profile, engine_rngs_.back().get()));
+    engines_.back()->load_program("ccmp-in", engine::ccmp_inbound_program());
+  }
+
+  // Seed and arrival time are functions of the client index alone; only
+  // the world a client lives on follows the placement. Supervised honest
+  // clients bind: rendezvous-routed over the live shards and migrated
+  // when theirs dies.
+  const std::vector<net::SimTime> arrivals =
+      fleet_arrivals(load_.seed, 0, load_.num_clients,
+                     load_.mean_interarrival_us, load_.poisson_arrivals);
+  clients_.reserve(load_.num_clients);
+  for (std::size_t i = 0; i < load_.num_clients; ++i) {
+    const auto key = static_cast<std::uint32_t>(i);
+    const std::size_t w =
+        supervisor_ != nullptr
+            ? shard_for_live(key, worlds(), supervisor_->routable())
+            : world_of(key);
+    auto c = std::make_unique<SessionClient>(queue(w), client, key,
+                                             *engines_[w],
+                                             fleet_client_seed(load_.seed, i));
+    c->set_connect([this, key, link = client.link](SessionClient&) {
+      return connect(key, link);
+    });
+    if (supervisor_ != nullptr) supervisor_->bind_client(key, c.get());
+    c->schedule_start(arrivals[i]);
+    clients_.push_back(std::move(c));
+  }
+}
+
+FleetWorld::~FleetWorld() = default;
+
+net::EventQueue& FleetWorld::queue(std::size_t w) {
+  return tier_ ? tier_->queue(w) : *queue_;
+}
+
+SecureSessionServer& FleetWorld::server(std::size_t w) {
+  return tier_ ? tier_->server(w) : *server_;
+}
+
+std::size_t FleetWorld::world_of(std::uint32_t conn_key) const {
+  return tier_ ? tier_->shard_of(conn_key) : 0;
+}
+
+std::unique_ptr<net::ReliableLink> FleetWorld::connect(
+    std::uint32_t conn_key, const net::LinkConfig& link) {
+  // Fresh channel per attempt: stale frames of an abandoned attempt can
+  // never reach the new connection's link. The client is the "a" side.
+  const std::size_t w = world_of(conn_key);
+  net::EventQueue& q = queue(w);
+  std::unique_ptr<net::DuplexChannel> channel;
+  if (!tier_) {
+    channel = std::make_unique<net::DuplexChannel>(
+        q, load_.channel, load_.channel,
+        fleet_channel_seed(load_.seed, connect_counter_++));
+    if (on_channel_) on_channel_(w, *channel);
+    server_->accept(channel->b_to_a(), channel->a_to_b());
+  } else {
+    const std::uint32_t attempt = conn_key < honest_attempts_.size()
+                                      ? honest_attempts_[conn_key]++
+                                      : other_attempts_[w][conn_key]++;
+    const std::uint32_t wire_id = make_wire_id(conn_key, attempt);
+    channel = std::make_unique<net::DuplexChannel>(
+        q, load_.channel, load_.channel,
+        fleet_channel_seed(load_.seed, wire_id));
+    if (on_channel_) on_channel_(w, *channel);
+    if (supervisor_ == nullptr || supervisor_->shard_alive(w)) {
+      SecureSessionServer::AcceptOptions opts;
+      opts.wire_id = wire_id;
+      opts.rng_seed = load_sub_seed(fleet_server_seed(load_.seed), wire_id);
+      tier_->accept(conn_key, channel->b_to_a(), channel->a_to_b(), opts);
+    }
+  }
+  auto l = std::make_unique<net::ReliableLink>(q, channel->a_to_b(),
+                                               channel->b_to_a(), link);
+  channels_[w].push_back(std::move(channel));
+  return l;
+}
+
+ShardedServer::RunStats FleetWorld::run(std::size_t max_events) {
+  if (tier_) return tier_->run(max_events);
+  ShardedServer::RunStats rs;
+  rs.events_run = queue_->run_all(max_events);
+  rs.drained = rs.events_run < max_events;
+  rs.degraded_transitions = server_->stats().degraded_transitions;
+  rs.degraded_time_us = server_->degraded_time_us();
+  return rs;
+}
+
+ServerStats FleetWorld::stats() const {
+  return tier_ ? tier_->fleet_stats() : server_->stats();
+}
+
+std::vector<ShardBreakdown> FleetWorld::breakdown() const {
+  if (tier_) return tier_->breakdown();
+  const ShardedServerConfig layout;
+  ShardBreakdown b;
+  b.server = server_->stats();
+  b.cache = cache_->stats();
+  b.cache_state_bytes = cache_->resumption_state_bytes();
+  b.ticket_state_bytes = server_->ticket_state_bytes();
+  b.handshake_histogram = analysis::LatencyHistogram(
+      layout.histogram_bucket_us, layout.histogram_buckets);
+  for (const double v : b.server.handshake_latencies_us)
+    b.handshake_histogram.record(v);
+  return {std::move(b)};
+}
+
+bool FleetWorld::conserved() const {
+  return tier_ ? tier_->conserved() : server_->stats_conserved();
+}
+
+std::size_t FleetWorld::open_connections() const {
+  return tier_ ? tier_->open_connections() : server_->open_connections();
+}
+
+net::SimTime FleetWorld::now() const {
+  if (!tier_) return queue_->now();
+  net::SimTime end = 0;
+  for (std::size_t s = 0; s < tier_->shards(); ++s)
+    end = std::max(end, tier_->queue(s).now());
+  return end;
+}
+
+// ---- LoadGenerator --------------------------------------------------------
+
+LoadReport LoadGenerator::run() {
+  FleetWorld world(load_, server_, client_, cache_);
+  const ShardedServer::RunStats rs = world.run(load_.max_events);
+
+  LoadReport report;
+  static_cast<FleetTally&>(report) = tally_fleet(world.clients());
+  report.server = world.stats();
+  report.shards = world.breakdown();
+  report.conserved = world.conserved();
+  report.epochs = rs.epochs;
+  report.control_applied = rs.control_applied;
+  report.peak_open_connections = rs.peak_open_connections;
+
+  std::vector<analysis::LatencyHistogram> hists;
+  for (const ShardBreakdown& b : report.shards) {
+    report.cache += b.cache;
+    report.cache_state_bytes += b.cache_state_bytes;
+    report.ticket_state_bytes += b.ticket_state_bytes;
+    hists.push_back(b.handshake_histogram);
+  }
+  const auto lookups = report.cache.hits + report.cache.misses;
+  report.cache_hit_rate = lookups == 0
+                              ? 0.0
+                              : static_cast<double>(report.cache.hits) /
+                                    static_cast<double>(lookups);
+
+  report.sim_duration_s = static_cast<double>(world.now()) / 1e6;
   const double dur = report.sim_duration_s > 0 ? report.sim_duration_s : 1;
   report.full_handshakes_per_s =
       static_cast<double>(report.server.full_handshakes) / dur;
@@ -126,26 +280,21 @@ LoadReport LoadGenerator::run() {
       static_cast<double>(report.server.bytes_opened +
                           report.server.bytes_sealed);
   report.record_mbps = protected_bytes * 8 / 1e6 / dur;
-  report.handshake_p50_ms =
-      analysis::percentile(report.server.handshake_latencies_us, 0.50) /
-      1e3;
-  report.handshake_p99_ms =
-      analysis::percentile(report.server.handshake_latencies_us, 0.99) /
-      1e3;
+  const auto ms = [](const std::vector<double>& us, double p) {
+    return analysis::percentile(us, p) / 1e3;
+  };
+  report.handshake_p50_ms = ms(report.server.handshake_latencies_us, 0.50);
+  report.handshake_p99_ms = ms(report.server.handshake_latencies_us, 0.99);
   report.full_handshake_p50_ms =
-      analysis::percentile(report.server.full_handshake_latencies_us, 0.50) /
-      1e3;
+      ms(report.server.full_handshake_latencies_us, 0.50);
   report.full_handshake_p99_ms =
-      analysis::percentile(report.server.full_handshake_latencies_us, 0.99) /
-      1e3;
+      ms(report.server.full_handshake_latencies_us, 0.99);
   report.resumed_handshake_p50_ms =
-      analysis::percentile(report.server.resumed_handshake_latencies_us,
-                           0.50) /
-      1e3;
+      ms(report.server.resumed_handshake_latencies_us, 0.50);
   report.resumed_handshake_p99_ms =
-      analysis::percentile(report.server.resumed_handshake_latencies_us,
-                           0.99) /
-      1e3;
+      ms(report.server.resumed_handshake_latencies_us, 0.99);
+  report.handshake_hist_p99_ms =
+      analysis::merged_percentile(hists, 0.99) / 1e3;
   report.crypto_backend = engine::PacketPipeline::crypto_backend();
 
   platform::ServedLoad served;
@@ -158,15 +307,20 @@ LoadReport LoadGenerator::run() {
           ? protected_bytes / 1024.0 /
                 static_cast<double>(report.sessions_completed)
           : 0;
-  report.gap =
-      platform::serving_gap(platform::WorkloadModel::paper_calibrated(),
-                            load_.appliance, served, load_.battery_kj,
-                            load_.pk_primitive);
+  const auto model = platform::WorkloadModel::paper_calibrated();
+  report.gap = platform::serving_gap(model, load_.appliance, served,
+                                     load_.battery_kj, load_.pk_primitive);
   report.ticket_gap = platform::serving_gap_ticket(
-      platform::WorkloadModel::paper_calibrated(), load_.appliance, served,
+      model, load_.appliance, served,
       static_cast<double>(report.ticket_state_bytes),
       static_cast<double>(report.cache_state_bytes),
       /*ticket_wire_bytes=*/96.0, load_.battery_kj, load_.pk_primitive);
+  if (load_.shards > 0)
+    report.sharded_gap = platform::serving_gap_sharded(
+        model, load_.appliance, served, load_.shards,
+        static_cast<double>(load_.slice_us),
+        /*merge_instr_per_slice=*/2000.0, load_.battery_kj,
+        load_.pk_primitive);
   return report;
 }
 

@@ -1,28 +1,13 @@
 #include "mapsec/server/sharded_server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "mapsec/crypto/sha256.hpp"
 #include "mapsec/net/shard_exec.hpp"
+#include "mapsec/server/load_gen.hpp"
 
 namespace mapsec::server {
-
-namespace {
-
-std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
-  return seed ^ (n * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
-}
-
-net::SimTime exponential_us(crypto::Rng& rng, double mean_us) {
-  const double u =
-      (static_cast<double>(rng.next_u32()) + 1.0) / 4294967297.0;
-  return static_cast<net::SimTime>(-mean_us * std::log(u));
-}
-
-}  // namespace
 
 void accumulate_stats(ServerStats& fleet, const ServerStats& shard) {
   fleet.connections_accepted += shard.connections_accepted;
@@ -138,7 +123,7 @@ ShardedServer::ShardedServer(ShardedServerConfig config)
     // via AcceptOptions::rng_seed, but an accept without one must not
     // share a DRBG across shard threads.
     shard->fallback_rng = std::make_unique<crypto::HmacDrbg>(
-        mix(config_.server.ticket.key_seed, 0x5EED + s));
+        load_sub_seed(config_.server.ticket.key_seed, 0x5EED + s));
     cfg.handshake.rng = shard->fallback_rng.get();
     if (config_.server.handshake.rng != nullptr && config_.shards == 1)
       cfg.handshake.rng = config_.server.handshake.rng;
@@ -346,192 +331,6 @@ bool ShardedServer::conserved() const {
   const ServerStats fleet = fleet_stats();
   return fleet.connections_accepted == accepted &&
          fleet.connections_accepted == closed + open_connections();
-}
-
-// ---------------------------------------------------------------------
-
-ShardedLoadReport ShardedLoadGenerator::run() {
-  const std::size_t num_shards = load_.shards == 0 ? 1 : load_.shards;
-  const std::uint64_t seed = load_.base.seed;
-
-  // Lifetime order (see LoadGenerator::run): channels are declared before
-  // the tier so the servers' links detach from still-live channels, and
-  // per-shard state is only ever touched by that shard's thread during a
-  // slice.
-  std::vector<std::vector<std::unique_ptr<net::DuplexChannel>>> channels(
-      num_shards);
-
-  ShardedServerConfig scfg;
-  scfg.shards = num_shards;
-  scfg.slice_us = load_.slice_us;
-  scfg.server = server_;
-  scfg.cache = cache_;
-  ShardedServer tier(scfg);
-
-  // Per-shard client-side engines (shared read-only by that shard's
-  // clients; one per shard so no object crosses a shard boundary).
-  std::vector<std::unique_ptr<crypto::HmacDrbg>> engine_rngs;
-  std::vector<std::unique_ptr<engine::ProtocolEngine>> engines;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    engine_rngs.push_back(
-        std::make_unique<crypto::HmacDrbg>(mix(seed, 0xE17 + s)));
-    engines.push_back(std::make_unique<engine::ProtocolEngine>(
-        server_.engine_profile, engine_rngs.back().get()));
-    engines.back()->load_program("ccmp-in", engine::ccmp_inbound_program());
-  }
-
-  // Clients: seed and arrival time are functions of the client index
-  // alone — identical for any shard count. Only the queue the client's
-  // world lives on follows the shard hash.
-  std::vector<std::unique_ptr<SessionClient>> clients;
-  std::vector<std::uint32_t> attempts(load_.base.num_clients, 0);
-  clients.reserve(load_.base.num_clients);
-  crypto::HmacDrbg arrival_rng(mix(seed, 0xA881));
-  net::SimTime arrival = 0;
-  for (std::size_t i = 0; i < load_.base.num_clients; ++i) {
-    const auto key = static_cast<std::uint32_t>(i);
-    const std::size_t s = tier.shard_of(key);
-    net::EventQueue& queue = tier.queue(s);
-    auto client = std::make_unique<SessionClient>(
-        queue, client_, key, *engines[s], mix(seed, 0xC11E57 + i));
-    client->set_connect([this, &tier, &channels, &attempts, seed, s, key,
-                         i](SessionClient&) {
-      net::EventQueue& queue = tier.queue(s);
-      // Global wire identity: (client, attempt) — never the shard-local
-      // connection id — names the channel seed, the server-side DRBG and
-      // the on-the-wire SPI, so every byte is shard-count-invariant.
-      const std::uint32_t wire_id = make_wire_id(key, attempts[i]++);
-      auto channel = std::make_unique<net::DuplexChannel>(
-          queue, load_.base.channel, load_.base.channel,
-          mix(seed, 0xC4A17 + wire_id));
-      SecureSessionServer::AcceptOptions opts;
-      opts.wire_id = wire_id;
-      opts.rng_seed = mix(mix(seed, 0x5E4), wire_id);
-      tier.accept(key, channel->b_to_a(), channel->a_to_b(), opts);
-      auto link = std::make_unique<net::ReliableLink>(
-          queue, channel->a_to_b(), channel->b_to_a(), client_.link);
-      channels[s].push_back(std::move(channel));
-      return link;
-    });
-    queue.schedule_at(arrival, [c = client.get()] { c->start(); });
-    arrival += load_.base.poisson_arrivals
-                   ? exponential_us(
-                         arrival_rng,
-                         static_cast<double>(load_.base.mean_interarrival_us))
-                   : load_.base.mean_interarrival_us;
-    clients.push_back(std::move(client));
-  }
-
-  const ShardedServer::RunStats rs = tier.run(load_.base.max_events);
-
-  // ---- aggregate ------------------------------------------------------
-  ShardedLoadReport report;
-  report.epochs = rs.epochs;
-  report.control_applied = rs.control_applied;
-  report.peak_open_connections = rs.peak_open_connections;
-  report.shards = tier.breakdown();
-  report.conserved = tier.conserved();
-
-  LoadReport& fleet = report.fleet;
-  fleet.server = tier.fleet_stats();
-  for (const ShardBreakdown& b : report.shards) {
-    fleet.cache += b.cache;
-    fleet.cache_state_bytes += b.cache_state_bytes;
-    fleet.ticket_state_bytes += b.ticket_state_bytes;
-  }
-  {
-    const auto total = fleet.cache.hits + fleet.cache.misses;
-    fleet.cache_hit_rate =
-        total == 0 ? 0.0
-                   : static_cast<double>(fleet.cache.hits) /
-                         static_cast<double>(total);
-  }
-
-  // Fleet digest: identical construction to LoadGenerator — every
-  // client's transcript digest in client order, swept through
-  // sha256_many and folded.
-  std::vector<crypto::ConstBytes> lanes;
-  lanes.reserve(clients.size());
-  for (const auto& client : clients) {
-    for (const SessionRecord& record : client->sessions()) {
-      ++fleet.sessions_attempted;
-      fleet.connection_attempts += static_cast<std::size_t>(record.attempts);
-      if (record.completed) ++fleet.sessions_completed;
-      if (record.failed) ++fleet.sessions_failed;
-      if (!record.echo_ok) ++fleet.echo_mismatches;
-    }
-    lanes.push_back(client->transcript_digest());
-  }
-  crypto::Bytes digest_stream;
-  for (const crypto::Bytes& lane_digest : crypto::sha256_many(lanes))
-    digest_stream.insert(digest_stream.end(), lane_digest.begin(),
-                         lane_digest.end());
-  fleet.fleet_digest = crypto::Sha256::hash(digest_stream);
-
-  net::SimTime end = 0;
-  for (std::size_t s = 0; s < num_shards; ++s)
-    end = std::max(end, tier.queue(s).now());
-  fleet.sim_duration_s = static_cast<double>(end) / 1e6;
-  const double dur = fleet.sim_duration_s > 0 ? fleet.sim_duration_s : 1;
-  fleet.full_handshakes_per_s =
-      static_cast<double>(fleet.server.full_handshakes) / dur;
-  fleet.resumed_handshakes_per_s =
-      static_cast<double>(fleet.server.resumed_handshakes) / dur;
-  fleet.sessions_per_s =
-      static_cast<double>(fleet.sessions_completed) / dur;
-  const double protected_bytes = static_cast<double>(
-      fleet.server.bytes_opened + fleet.server.bytes_sealed);
-  fleet.record_mbps = protected_bytes * 8 / 1e6 / dur;
-  fleet.handshake_p50_ms =
-      analysis::percentile(fleet.server.handshake_latencies_us, 0.50) / 1e3;
-  fleet.handshake_p99_ms =
-      analysis::percentile(fleet.server.handshake_latencies_us, 0.99) / 1e3;
-  fleet.full_handshake_p50_ms =
-      analysis::percentile(fleet.server.full_handshake_latencies_us, 0.50) /
-      1e3;
-  fleet.full_handshake_p99_ms =
-      analysis::percentile(fleet.server.full_handshake_latencies_us, 0.99) /
-      1e3;
-  fleet.resumed_handshake_p50_ms =
-      analysis::percentile(fleet.server.resumed_handshake_latencies_us, 0.50) /
-      1e3;
-  fleet.resumed_handshake_p99_ms =
-      analysis::percentile(fleet.server.resumed_handshake_latencies_us, 0.99) /
-      1e3;
-  fleet.crypto_backend = engine::PacketPipeline::crypto_backend();
-
-  // Fleet percentile off the merged per-shard histograms: the exact
-  // aggregation the per-shard summaries cannot give (satellite check:
-  // within a bucket width of the sorted-sample percentile above).
-  {
-    std::vector<analysis::LatencyHistogram> hists;
-    hists.reserve(report.shards.size());
-    for (const ShardBreakdown& b : report.shards)
-      hists.push_back(b.handshake_histogram);
-    report.handshake_hist_p99_ms =
-        analysis::merged_percentile(hists, 0.99) / 1e3;
-  }
-
-  platform::ServedLoad served;
-  served.full_handshakes_per_s = fleet.full_handshakes_per_s;
-  served.resumed_handshakes_per_s = fleet.resumed_handshakes_per_s;
-  served.bulk_mbps = fleet.record_mbps;
-  served.sessions_per_s = fleet.sessions_per_s;
-  served.avg_session_kb =
-      fleet.sessions_completed > 0
-          ? protected_bytes / 1024.0 /
-                static_cast<double>(fleet.sessions_completed)
-          : 0;
-  fleet.gap =
-      platform::serving_gap(platform::WorkloadModel::paper_calibrated(),
-                            load_.base.appliance, served,
-                            load_.base.battery_kj, load_.base.pk_primitive);
-  report.sharded_gap = platform::serving_gap_sharded(
-      platform::WorkloadModel::paper_calibrated(), load_.base.appliance,
-      served, num_shards, static_cast<double>(load_.slice_us),
-      /*merge_instr_per_slice=*/2000.0, load_.base.battery_kj,
-      load_.base.pk_primitive);
-  return report;
 }
 
 }  // namespace mapsec::server

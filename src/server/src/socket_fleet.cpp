@@ -268,20 +268,10 @@ SocketClientReport SocketClientFleet::run() {
 
   SocketClientReport report;
 
-  // Arrival schedule: the sim generator draws one inter-arrival delta
-  // per client in global id order; replay the same stream and keep our
-  // block, so a multi-process run reproduces the sim fleet's arrivals.
-  crypto::HmacDrbg arrival_rng(fleet_arrival_seed(load_.seed));
-  std::vector<net::SimTime> arrivals(n);
-  net::SimTime arrival = 0;
-  for (std::size_t g = 0; g < load_.first_client_id + n; ++g) {
-    if (g >= load_.first_client_id) arrivals[g - load_.first_client_id] = arrival;
-    arrival += load_.poisson_arrivals
-                   ? load_exponential_us(
-                         arrival_rng,
-                         static_cast<double>(load_.mean_interarrival_us))
-                   : load_.mean_interarrival_us;
-  }
+  // The sim fleet's arrival schedule, cut to our block of global ids.
+  const std::vector<net::SimTime> arrivals =
+      fleet_arrivals(load_.seed, load_.first_client_id, n,
+                     load_.mean_interarrival_us, load_.poisson_arrivals);
 
   std::size_t finished = 0;
   const net::SimTime start_us = reactor.queue().now();
@@ -319,20 +309,9 @@ SocketClientReport SocketClientFleet::run() {
       static_cast<double>(reactor.queue().now() - start_us) / 1e6;
 
   // Snapshot while everything is still alive.
-  std::vector<crypto::ConstBytes> lanes;
-  lanes.reserve(clients.size());
-  for (const auto& client : clients) {
-    for (const SessionRecord& record : client->sessions()) {
-      ++report.sessions_attempted;
-      report.connection_attempts += static_cast<std::size_t>(record.attempts);
-      if (record.completed) ++report.sessions_completed;
-      if (record.failed) ++report.sessions_failed;
-      if (!record.echo_ok) ++report.echo_mismatches;
-    }
+  static_cast<FleetTally&>(report) = tally_fleet(clients);
+  for (const auto& client : clients)
     report.client_digests.push_back(client->transcript_digest());
-    lanes.push_back(client->transcript_digest());
-  }
-  report.fleet_digest = fold_fleet_digest(lanes);
   for (const auto& ep : graveyard) report.sockets += ep->stats();
   for (const auto& ep : slots)
     if (ep) report.sockets += ep->stats();

@@ -4,15 +4,9 @@
 #include <chrono>
 #include <utility>
 
+#include "mapsec/server/load_gen.hpp"
+
 namespace mapsec::server {
-
-namespace {
-
-std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
-  return seed ^ (n * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
-}
-
-}  // namespace
 
 ShardSupervisor::ShardSupervisor(ShardedServerConfig config)
     : ShardedServer(std::move(config)),
@@ -170,7 +164,7 @@ void ShardSupervisor::rejoin_shard(std::size_t shard, net::SimTime now) {
     part.capacity = (part.capacity + shards() - 1) / shards();
   sh.cache = std::make_unique<BoundedSessionCache>(*sh.queue, part);
   sh.fallback_rng = std::make_unique<crypto::HmacDrbg>(
-      mix(config_.server.ticket.key_seed, 0x5EED + shard));
+      load_sub_seed(config_.server.ticket.key_seed, 0x5EED + shard));
   ServerConfig cfg = config_.server;
   cfg.handshake.rng = sh.fallback_rng.get();
   if (config_.server.handshake.rng != nullptr && shards() == 1)

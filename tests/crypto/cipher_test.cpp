@@ -1,6 +1,8 @@
 // Known-answer and property tests for the block/stream ciphers and modes.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "mapsec/crypto/aes.hpp"
 #include "mapsec/crypto/cipher.hpp"
 #include "mapsec/crypto/des.hpp"
@@ -227,6 +229,13 @@ struct Rc2Vector {
   const char* plaintext;
   const char* ciphertext;
 };
+
+// Print a vector by its key and effective key bits (unique per vector):
+// the default byte dump would show string addresses and padding, which
+// change from run to run and so would the test names.
+void PrintTo(const Rc2Vector& v, std::ostream* os) {
+  *os << "key_" << v.key << "_eff" << v.effective_bits;
+}
 
 class Rc2VectorTest : public ::testing::TestWithParam<Rc2Vector> {};
 

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "mapsec/crypto/bytes.hpp"
 #include "mapsec/crypto/crc32.hpp"
 #include "mapsec/crypto/hmac.hpp"
 #include "mapsec/crypto/md5.hpp"
@@ -12,6 +13,13 @@
 
 namespace mapsec::crypto {
 namespace {
+
+// A rotate by zero is the identity. Evaluated at compile time, so an
+// undefined shift by 32 inside the rotate fails the build.
+static_assert(rotr32(0x80000001u, 0) == 0x80000001u);
+static_assert(rotl32(0x80000001u, 0) == 0x80000001u);
+static_assert(rotr32(0x80000001u, 1) == 0xC0000000u);
+static_assert(rotl32(0x80000001u, 1) == 0x00000003u);
 
 TEST(Sha1Test, Fips180Vectors) {
   EXPECT_EQ(to_hex(Sha1::hash(to_bytes(""))),
@@ -55,6 +63,15 @@ TEST(Sha256Test, Fips180Vectors) {
   EXPECT_EQ(to_hex(Sha256::hash(to_bytes(
                 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256Test, EmptySpanAfterPartialBlockIsANoOp) {
+  // A default-constructed span has a null data(); updating with it while
+  // a partial block is buffered must leave the digest untouched.
+  Sha256 h;
+  h.update(to_bytes("abc"));
+  h.update(ConstBytes{});
+  EXPECT_EQ(h.finish(), Sha256::hash(to_bytes("abc")));
 }
 
 // Streaming in arbitrary chunk sizes must equal the one-shot digest.

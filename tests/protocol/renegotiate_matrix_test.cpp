@@ -4,6 +4,7 @@
 // drain under the old cipher, cumulative counters, policy refusals).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "mapsec/crypto/rng.hpp"
@@ -42,6 +43,10 @@ struct Cell {
   Resume resume;
   Transition transition;
 };
+
+// Print a cell as its name: the default byte dump would show the address
+// of `name`, which changes from run to run and so would the test names.
+void PrintTo(const Cell& cell, std::ostream* os) { *os << cell.name; }
 
 // Server-initiated renegotiation replays the client's configured offer
 // (the HelloRequest handler calls start_renegotiate with defaults), so

@@ -7,18 +7,15 @@
 // per-shard books across a world's death and warm rejoin.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "mapsec/analysis/stats.hpp"
 #include "mapsec/chaos/campaign.hpp"
 #include "mapsec/crypto/rng.hpp"
-#include "mapsec/engine/protocol_engine.hpp"
-#include "mapsec/net/channel.hpp"
-#include "mapsec/net/link.hpp"
 #include "mapsec/platform/gap.hpp"
 #include "mapsec/platform/processor.hpp"
 #include "mapsec/platform/workload.hpp"
+#include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/supervisor.hpp"
 
 namespace mapsec::server {
@@ -27,12 +24,6 @@ namespace {
 using protocol::CipherSuite;
 
 constexpr std::uint64_t kNow = 1'050'000'000;  // ~2003
-
-/// Same seed-splitting mix the load generator and campaign use, so the
-/// direct supervised world below speaks their dialect.
-constexpr std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
-  return seed ^ (n * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
-}
 
 class FailoverTest : public ::testing::Test {
  protected:
@@ -331,63 +322,22 @@ TEST_F(FailoverTest, RetiredHistogramsMergeExactly) {
   constexpr std::size_t kClients = 16;
   constexpr std::size_t kShards = 2;
 
-  // Channels before the tier, as in ShardedLoadGenerator: server links
-  // must detach from still-live channels at teardown.
-  std::vector<std::vector<std::unique_ptr<net::DuplexChannel>>> channels(
-      kShards);
-
-  ShardedServerConfig scfg;
-  scfg.shards = kShards;
-  scfg.server = server_config();
-  ShardSupervisor tier(scfg);
+  // A supervised fleet world driven directly (no campaign): uniform
+  // arrivals, one ticket-key rotation, shard 0 crashed and rejoined.
+  LoadConfig load;
+  load.num_clients = kClients;
+  load.mean_interarrival_us = 3'000;
+  load.poisson_arrivals = false;
+  load.seed = kSeed;
+  load.shards = kShards;
+  FleetWorld world(load, server_config(), client_config(), {},
+                   /*server_rng=*/nullptr, /*supervised=*/true);
+  ShardSupervisor& tier = *world.supervisor();
   tier.rotate_ticket_keys(10'000);
   tier.schedule_crash(60'000, 0, 200'000);
 
-  std::vector<std::unique_ptr<crypto::HmacDrbg>> engine_rngs;
-  std::vector<std::unique_ptr<engine::ProtocolEngine>> engines;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    engine_rngs.push_back(
-        std::make_unique<crypto::HmacDrbg>(mix(kSeed, 0xE17 + s)));
-    engines.push_back(std::make_unique<engine::ProtocolEngine>(
-        scfg.server.engine_profile, engine_rngs.back().get()));
-    engines.back()->load_program("ccmp-in", engine::ccmp_inbound_program());
-  }
-
-  const ClientConfig ccfg = client_config();
-  const net::ChannelConfig channel_cfg;
-  std::vector<std::unique_ptr<SessionClient>> clients;
-  std::vector<std::uint32_t> attempts(kClients, 0);
-  net::SimTime arrival = 0;
-  for (std::size_t i = 0; i < kClients; ++i) {
-    const auto key = static_cast<std::uint32_t>(i);
-    const std::size_t s = shard_for_live(key, kShards, tier.routable());
-    auto client = std::make_unique<SessionClient>(
-        tier.queue(s), ccfg, key, *engines[s], mix(kSeed, 0xC11E57 + i));
-    client->set_connect([&tier, &channels, &attempts, &ccfg, channel_cfg,
-                         key, i](SessionClient&) {
-      // Route by the CURRENT binding: after a failover this client's
-      // world (and its channels) live on the survivor's queue.
-      const std::size_t shard = tier.shard_of(key);
-      net::EventQueue& queue = tier.queue(shard);
-      const std::uint32_t wire_id = make_wire_id(key, attempts[i]++);
-      auto channel = std::make_unique<net::DuplexChannel>(
-          queue, channel_cfg, channel_cfg, mix(kSeed, 0xC4A17 + wire_id));
-      SecureSessionServer::AcceptOptions opts;
-      opts.wire_id = wire_id;
-      opts.rng_seed = mix(mix(kSeed, 0x5E4), wire_id);
-      tier.accept(key, channel->b_to_a(), channel->a_to_b(), opts);
-      auto link = std::make_unique<net::ReliableLink>(
-          queue, channel->a_to_b(), channel->b_to_a(), ccfg.link);
-      channels[shard].push_back(std::move(channel));
-      return link;
-    });
-    tier.bind_client(key, client.get());
-    client->schedule_start(arrival);
-    arrival += 3'000;
-    clients.push_back(std::move(client));
-  }
-
-  (void)tier.run();
+  (void)world.run(load.max_events);
+  const auto& clients = world.clients();
 
   ASSERT_TRUE(tier.conserved());
   for (std::size_t i = 0; i < clients.size(); ++i)
@@ -395,8 +345,9 @@ TEST_F(FailoverTest, RetiredHistogramsMergeExactly) {
       EXPECT_TRUE(record.completed) << "client " << i;
 
   const ServerStats fleet = tier.fleet_stats();
-  analysis::LatencyHistogram merged(scfg.histogram_bucket_us,
-                                    scfg.histogram_buckets);
+  const ShardedServerConfig layout;
+  analysis::LatencyHistogram merged(layout.histogram_bucket_us,
+                                    layout.histogram_buckets);
   std::size_t recorded = 0;
   ServerStats summed;
   for (const ShardBreakdown& b : tier.breakdown()) {

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "mapsec/chaos/campaign.hpp"
 #include "mapsec/crypto/rng.hpp"
 #include "mapsec/platform/processor.hpp"
+#include "mapsec/server/load_gen.hpp"
 #include "mapsec/server/sharded_server.hpp"
 #include "mapsec/server/session_cache.hpp"
 
@@ -92,11 +94,10 @@ class ShardedServerTest : public ::testing::Test {
     return cfg;
   }
 
-  static ShardedLoadConfig sharded_load(std::size_t clients,
-                                        std::size_t shards) {
-    ShardedLoadConfig cfg;
-    cfg.base.num_clients = clients;
-    cfg.base.appliance = platform::Processor::strongarm_sa1100();
+  static LoadConfig sharded_load(std::size_t clients, std::size_t shards) {
+    LoadConfig cfg;
+    cfg.num_clients = clients;
+    cfg.appliance = platform::Processor::strongarm_sa1100();
     cfg.shards = shards;
     return cfg;
   }
@@ -116,14 +117,13 @@ protocol::Certificate* ShardedServerTest::server_cert_ = nullptr;
 
 /// One run of the sharded harness at a given shard count; `tickets`
 /// selects stateless-ticket resumption over the session cache.
-ShardedLoadReport run_fleet(const ShardedServerTest* /*tag*/,
-                            ServerConfig server, ClientConfig client,
-                            std::size_t clients, std::size_t shards,
-                            bool tickets) {
-  ShardedLoadConfig load;
-  load.base.num_clients = clients;
-  load.base.appliance = platform::Processor::strongarm_sa1100();
-  load.base.channel.loss_rate = 0.02;  // a little weather: retries happen
+LoadReport run_fleet(const ShardedServerTest* /*tag*/, ServerConfig server,
+                     ClientConfig client, std::size_t clients,
+                     std::size_t shards, bool tickets) {
+  LoadConfig load;
+  load.num_clients = clients;
+  load.appliance = platform::Processor::strongarm_sa1100();
+  load.channel.loss_rate = 0.02;  // a little weather: retries happen
   load.shards = shards;
   client.sessions = 2;  // second session resumes
   BoundedSessionCache::Config cache;
@@ -134,7 +134,7 @@ ShardedLoadReport run_fleet(const ShardedServerTest* /*tag*/,
   } else {
     cache.capacity = 4'096;
   }
-  ShardedLoadGenerator gen(load, server, client, cache);
+  LoadGenerator gen(load, server, client, cache);
   return gen.run();
 }
 
@@ -144,25 +144,25 @@ class ShardedDeterminismTest
 
 TEST_P(ShardedDeterminismTest, DigestIdenticalForAnyShardCount) {
   const bool tickets = GetParam();
-  const ShardedLoadReport base = run_fleet(
+  const LoadReport base = run_fleet(
       this, server_config(), client_config(), 48, 1, tickets);
-  ASSERT_EQ(base.fleet.sessions_completed, 96u);
-  ASSERT_EQ(base.fleet.echo_mismatches, 0u);
-  ASSERT_FALSE(base.fleet.fleet_digest.empty());
+  ASSERT_EQ(base.sessions_completed, 96u);
+  ASSERT_EQ(base.echo_mismatches, 0u);
+  ASSERT_FALSE(base.fleet_digest.empty());
   EXPECT_TRUE(base.conserved);
   if (tickets)
-    EXPECT_GT(base.fleet.server.ticket_resumptions, 0u);
+    EXPECT_GT(base.server.ticket_resumptions, 0u);
   else
-    EXPECT_GT(base.fleet.cache.hits, 0u);
+    EXPECT_GT(base.cache.hits, 0u);
 
   for (std::size_t shards : {2u, 4u, 8u}) {
-    const ShardedLoadReport r = run_fleet(
+    const LoadReport r = run_fleet(
         this, server_config(), client_config(), 48, shards, tickets);
-    EXPECT_EQ(r.fleet.fleet_digest, base.fleet.fleet_digest)
+    EXPECT_EQ(r.fleet_digest, base.fleet_digest)
         << shards << " shards, tickets=" << tickets;
-    EXPECT_EQ(r.fleet.sessions_completed, base.fleet.sessions_completed);
-    EXPECT_EQ(r.fleet.server.handshakes_completed,
-              base.fleet.server.handshakes_completed);
+    EXPECT_EQ(r.sessions_completed, base.sessions_completed);
+    EXPECT_EQ(r.server.handshakes_completed,
+              base.server.handshakes_completed);
     EXPECT_TRUE(r.conserved) << shards << " shards";
     EXPECT_EQ(r.shards.size(), shards);
   }
@@ -172,13 +172,13 @@ INSTANTIATE_TEST_SUITE_P(ResumptionModes, ShardedDeterminismTest,
                          ::testing::Values(false, true));
 
 TEST_F(ShardedServerTest, RerunIsBitIdentical) {
-  const ShardedLoadReport a = run_fleet(
+  const LoadReport a = run_fleet(
       this, server_config(), client_config(), 24, 4, false);
-  const ShardedLoadReport b = run_fleet(
+  const LoadReport b = run_fleet(
       this, server_config(), client_config(), 24, 4, false);
-  EXPECT_EQ(a.fleet.fleet_digest, b.fleet.fleet_digest);
-  EXPECT_EQ(a.fleet.server.handshakes_completed,
-            b.fleet.server.handshakes_completed);
+  EXPECT_EQ(a.fleet_digest, b.fleet_digest);
+  EXPECT_EQ(a.server.handshakes_completed,
+            b.server.handshakes_completed);
   EXPECT_EQ(a.epochs, b.epochs);
 }
 
@@ -187,10 +187,10 @@ TEST_F(ShardedServerTest, RerunIsBitIdentical) {
 TEST_F(ShardedServerTest, FleetTotalsEqualPerShardSumsInSoak) {
   ClientConfig client = client_config();
   client.sessions = 2;
-  ShardedLoadConfig load = sharded_load(64, 4);
-  ShardedLoadGenerator gen(load, server_config(), client,
+  LoadConfig load = sharded_load(64, 4);
+  LoadGenerator gen(load, server_config(), client,
                            {.capacity = 4'096});
-  const ShardedLoadReport report = gen.run();
+  const LoadReport report = gen.run();
 
   ASSERT_EQ(report.shards.size(), 4u);
   ASSERT_TRUE(report.conserved);
@@ -213,7 +213,7 @@ TEST_F(ShardedServerTest, FleetTotalsEqualPerShardSumsInSoak) {
     EXPECT_EQ(b.handshake_histogram.count(),
               b.server.handshake_latencies_us.size());
   }
-  const ServerStats& fleet = report.fleet.server;
+  const ServerStats& fleet = report.server;
   EXPECT_EQ(fleet.connections_accepted, sum.connections_accepted);
   EXPECT_EQ(fleet.handshakes_completed, sum.handshakes_completed);
   EXPECT_EQ(fleet.full_handshakes, sum.full_handshakes);
@@ -221,8 +221,8 @@ TEST_F(ShardedServerTest, FleetTotalsEqualPerShardSumsInSoak) {
   EXPECT_EQ(fleet.bytes_opened, sum.bytes_opened);
   EXPECT_EQ(fleet.bytes_sealed, sum.bytes_sealed);
   EXPECT_EQ(fleet.graceful_closes, sum.graceful_closes);
-  EXPECT_EQ(report.fleet.cache_state_bytes, cache_bytes);
-  EXPECT_EQ(report.fleet.cache.hits, cache_hits);
+  EXPECT_EQ(report.cache_state_bytes, cache_bytes);
+  EXPECT_EQ(report.cache.hits, cache_hits);
   EXPECT_EQ(fleet.handshake_latencies_us.size(), latencies);
 
   // Work actually spread: with 64 clients over 4 shards, no shard is idle.
@@ -231,7 +231,7 @@ TEST_F(ShardedServerTest, FleetTotalsEqualPerShardSumsInSoak) {
 
   // Exact-aggregation satellite: merged-histogram p99 within one bucket
   // width of the sorted-sample fleet p99.
-  EXPECT_NEAR(report.handshake_hist_p99_ms, report.fleet.handshake_p99_ms,
+  EXPECT_NEAR(report.handshake_hist_p99_ms, report.handshake_p99_ms,
               0.250 + 1e-9);
 }
 
@@ -248,19 +248,19 @@ TEST_F(ShardedServerTest, AdmissionWatermarksAreFleetWide) {
   server.core.us_per_flight = 5'000.0;
   ClientConfig client = client_config();
   client.retry_budget = 1;  // refused = failed, no retry churn
-  ShardedLoadConfig load = sharded_load(32, 4);
-  load.base.mean_interarrival_us = 500;
-  load.base.poisson_arrivals = false;
+  LoadConfig load = sharded_load(32, 4);
+  load.mean_interarrival_us = 500;
+  load.poisson_arrivals = false;
   load.slice_us = 1'000;
-  ShardedLoadGenerator gen(load, server, client, {.capacity = 256});
-  const ShardedLoadReport report = gen.run();
+  LoadGenerator gen(load, server, client, {.capacity = 256});
+  const LoadReport report = gen.run();
 
-  EXPECT_GT(report.fleet.server.refused_connections, 0u);
+  EXPECT_GT(report.server.refused_connections, 0u);
   EXPECT_TRUE(report.conserved);
   // The refusals must be a fleet decision: the fleet cap (6) is below
   // what any per-shard interpretation (6 per shard x 4) would shed at.
-  EXPECT_LT(report.fleet.sessions_completed, 32u);
-  EXPECT_GT(report.fleet.sessions_completed, 0u);
+  EXPECT_LT(report.sessions_completed, 32u);
+  EXPECT_GT(report.sessions_completed, 0u);
 }
 
 // ------------------------------------------------- modeled-core scaling
@@ -278,22 +278,22 @@ TEST_F(ShardedServerTest, CoreModelScalesAggregateRateWithShards) {
   double rate1 = 0;
   crypto::Bytes digest1;
   for (std::size_t shards : {1u, 4u}) {
-    ShardedLoadConfig load = sharded_load(48, shards);
-    load.base.mean_interarrival_us = 100;  // offered load beats one core
-    load.base.poisson_arrivals = false;
-    ShardedLoadGenerator gen(load, server, client, {.capacity = 256});
-    const ShardedLoadReport report = gen.run();
-    ASSERT_EQ(report.fleet.sessions_completed, 48u) << shards;
-    ASSERT_GT(report.fleet.server.core_busy_us, 0.0) << shards;
-    const double rate = report.fleet.full_handshakes_per_s;
+    LoadConfig load = sharded_load(48, shards);
+    load.mean_interarrival_us = 100;  // offered load beats one core
+    load.poisson_arrivals = false;
+    LoadGenerator gen(load, server, client, {.capacity = 256});
+    const LoadReport report = gen.run();
+    ASSERT_EQ(report.sessions_completed, 48u) << shards;
+    ASSERT_GT(report.server.core_busy_us, 0.0) << shards;
+    const double rate = report.full_handshakes_per_s;
     if (shards == 1) {
       rate1 = rate;
-      digest1 = report.fleet.fleet_digest;
+      digest1 = report.fleet_digest;
     } else {
       // Four cores drain the same offered load in less simulated time —
       // and the transcript still matches bit-for-bit.
       EXPECT_GT(rate, rate1 * 1.5);
-      EXPECT_EQ(report.fleet.fleet_digest, digest1);
+      EXPECT_EQ(report.fleet_digest, digest1);
     }
   }
 }
@@ -344,6 +344,56 @@ TEST_F(ShardedServerTest, ShardedCampaignRejectsGlobalFaults) {
   cfg.faults.push_back(chaos::DispatchFailure{.at_us = 1'000});
   chaos::CampaignRunner runner(cfg);
   EXPECT_THROW(runner.run(), std::invalid_argument);
+}
+
+// ------------------------------------------------ cross-harness witness
+
+TEST_F(ShardedServerTest, CampaignAndLoadGeneratorAgreeOnOneFleet) {
+  // One seed, fleet, server and client config through both sim harnesses
+  // on both placements (single loop and a one-shard tier): a fault-free
+  // campaign is a load run, so the session outcome and the fleet digest
+  // must match across all four.
+  constexpr std::uint64_t kSeed = 0x5EEDF1EE;
+  constexpr std::size_t kClients = 12;
+  ClientConfig client = client_config();
+  client.sessions = 2;
+  const BoundedSessionCache::Config cache{.capacity = 256};
+
+  std::vector<FleetTally> runs;
+  for (std::size_t shards : {0u, 1u}) {
+    chaos::CampaignConfig campaign;
+    campaign.seed = kSeed;
+    campaign.shards = shards;
+    campaign.honest_clients = kClients;
+    campaign.mean_interarrival_us = 1'000;
+    campaign.server = server_config();
+    campaign.client = client;
+    campaign.cache = cache;
+    const chaos::CampaignReport c = chaos::CampaignRunner(campaign).run();
+    EXPECT_TRUE(c.invariants_ok())
+        << shards << " shards: " << c.invariant_failures;
+    runs.push_back(c);
+
+    LoadConfig load;
+    load.seed = kSeed;
+    load.shards = shards;
+    load.num_clients = kClients;
+    load.mean_interarrival_us = 1'000;
+    const LoadReport l =
+        LoadGenerator(load, server_config(), client, cache).run();
+    EXPECT_TRUE(l.conserved) << shards << " shards";
+    runs.push_back(l);
+  }
+
+  ASSERT_EQ(runs.front().sessions_completed, kClients * 2);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].fleet_digest, runs.front().fleet_digest) << "run " << i;
+    EXPECT_EQ(runs[i].sessions_attempted, runs.front().sessions_attempted)
+        << "run " << i;
+    EXPECT_EQ(runs[i].sessions_completed, runs.front().sessions_completed)
+        << "run " << i;
+    EXPECT_EQ(runs[i].echo_mismatches, 0u) << "run " << i;
+  }
 }
 
 // ------------------------------------------------ ticket-rotation control
