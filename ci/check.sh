@@ -6,7 +6,8 @@
 #      kernels stay green where the dispatcher would otherwise hide them
 #      (the sanitizer tree covers the accelerated path)
 #   4. TSan               — the concurrency-bearing subset (pipeline,
-#      server, chaos campaigns, wire fuzzing) under ThreadSanitizer
+#      server, chaos campaigns, wire fuzzing, the socket tier) under
+#      ThreadSanitizer
 # This is the gate a change must pass before it lands.
 #
 # Finally, re-records the benchmark baselines from the release tree and
@@ -82,11 +83,13 @@ echo "== thread-sanitizer tree (MAPSEC_SANITIZE=thread) =="
 # The failover suite is the sharpest of these: hang latches park shard
 # threads mid-slice, the wall-clock watchdog releases them from another
 # thread, and supervised kills tear worlds down between slices — exactly
-# the handoffs TSan exists to vet.
+# the handoffs TSan exists to vet. The socket tier joins them: shard
+# threads retire connections that stop() then reads from another
+# thread, and Reactor::post() hands work to a shard from outside it.
 cmake -B build-tsan -S . -DMAPSEC_SANITIZE=thread
 cmake --build build-tsan -j "${JOBS}"
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-  -R 'Pipeline|pipeline|Server|server|Chaos|chaos|Campaign|WireFuzz|net_|Ticket|Renegotiat|Shard|Failover|HangLatch'
+  -R 'Pipeline|pipeline|Server|server|Chaos|chaos|Campaign|WireFuzz|net_|Ticket|Renegotiat|Shard|Failover|HangLatch|Socket|Reactor'
 
 if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
   echo "== benchmark baseline comparison =="

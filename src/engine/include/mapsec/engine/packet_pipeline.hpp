@@ -78,6 +78,14 @@ class PacketPipeline {
   /// Register an SA under `sa_id`. Not safe concurrently with run_batch().
   void add_sa(std::uint32_t sa_id, EngineSa sa);
 
+  /// Drop the SA under `sa_id` (no-op if absent); later jobs on it come
+  /// back unaccepted ("unknown SA"). Other SAs' state, and so their
+  /// output, is untouched. Not safe concurrently with run_batch().
+  void remove_sa(std::uint32_t sa_id);
+
+  /// Registered SAs (tests check that retired connections release theirs).
+  std::size_t sa_count() const { return sas_.size(); }
+
   /// Access a registered SA (e.g. to inspect replay state after a batch).
   const EngineSa& sa(std::uint32_t sa_id) const;
 

@@ -49,6 +49,8 @@ void PacketPipeline::add_sa(std::uint32_t sa_id, EngineSa sa) {
                SaState{std::move(sa), crypto::HmacDrbg(rng_seed_ ^ sa_id)});
 }
 
+void PacketPipeline::remove_sa(std::uint32_t sa_id) { sas_.erase(sa_id); }
+
 const EngineSa& PacketPipeline::sa(std::uint32_t sa_id) const {
   const auto it = sas_.find(sa_id);
   if (it == sas_.end())

@@ -68,7 +68,8 @@ class Reactor {
   void post(std::function<void()> fn);
 
   /// One turn: run posted fns, advance the EventQueue to the clock, wait
-  /// for fd events at most `max_wait_us` (clamped to the next timer),
+  /// for fd events at most `max_wait_us` (clamped to the next timer, to
+  /// the microsecond; at most 60 s; 0 = do not block),
   /// dispatch them, advance again, then flush deferred endpoints.
   /// Returns the number of fd events dispatched.
   std::size_t poll(SimTime max_wait_us);

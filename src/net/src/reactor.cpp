@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <ctime>
 
 namespace mapsec::net {
 
@@ -101,11 +102,18 @@ std::size_t Reactor::poll(SimTime max_wait_us) {
     SimTime until_timer = next > now ? next - now : 0;
     wait_us = std::min(wait_us, until_timer);
   }
-  int timeout_ms = static_cast<int>(
-      std::min<SimTime>((wait_us + 999) / 1000, 60'000));
+  // Sleep to the microsecond the queue asks for: epoll_pwait2 takes a
+  // timespec, so a 500 us flush timer waits 500 us instead of a whole
+  // rounded-up millisecond. A zero wait polls without blocking.
+  wait_us = std::min<SimTime>(wait_us, 60'000'000);
+  const timespec timeout{static_cast<time_t>(wait_us / 1'000'000),
+                         static_cast<long>(wait_us % 1'000'000) * 1'000};
 
   epoll_event events[64];
-  int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  int n = epoll_pwait2(epoll_fd_, events, 64, &timeout, nullptr);
+  if (n < 0 && errno == ENOSYS)  // pre-5.11 kernel: millisecond fallback
+    n = epoll_wait(epoll_fd_, events, 64,
+                   static_cast<int>((wait_us + 999) / 1000));
   std::size_t dispatched = 0;
   if (n > 0) {
     for (int i = 0; i < n; ++i) {

@@ -16,7 +16,11 @@
 //     (AES-CCM via the ccmp programs) shards across workers by
 //     connection, bit-identical for any worker count,
 //   * graceful close, and per-server counters plus a simulated-time
-//     handshake-latency histogram.
+//     handshake-latency histogram,
+//   * retirement: a finished connection releases its handshake state and
+//     SA, and leaves the table once its link is dead too, so memory and
+//     per-flush work follow the live connections, not every connection
+//     ever accepted.
 //
 // Single-threaded by design: every callback runs on the EventQueue, and
 // the only parallelism is inside PacketPipeline::run_batch — which is
@@ -27,6 +31,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -303,11 +308,16 @@ class SecureSessionServer {
   std::size_t ticket_state_bytes() const {
     return ticket_ring_ ? ticket_ring_->state_bytes() : 0;
   }
-  std::size_t open_connections() const;
+  std::size_t open_connections() const {
+    return handshakes_in_flight_ + established_count_;
+  }
   std::size_t handshakes_in_flight() const { return handshakes_in_flight_; }
   /// Connections in kEstablished — open == in_flight + established; O(1),
   /// for the sharded merge's per-barrier fleet snapshot.
   std::size_t established_connections() const { return established_count_; }
+  /// Entries in the connection table (tests): the open connections plus
+  /// finished ones whose link still owes the peer a retransmission.
+  std::size_t tracked_connections() const { return connections_.size(); }
 
   /// Degraded (resumption-only) mode: current state and cumulative
   /// simulated time spent degraded, including the open stretch. Under a
@@ -343,6 +353,8 @@ class SecureSessionServer {
     std::uint32_t wire_id = 0;  // on-the-wire SPI; == id unless sharded
     std::unique_ptr<crypto::HmacDrbg> rng;  // per-connection stream, opt.
     ConnState state = ConnState::kHandshake;
+    bool echo_listed = false;      // id is in echo_ids_
+    bool deferred_listed = false;  // id is in deferred_ids_
     std::unique_ptr<net::ReliableLink> link;
     std::unique_ptr<protocol::TlsServer> endpoint;
     net::SimTime accepted_at = 0;
@@ -356,6 +368,9 @@ class SecureSessionServer {
     std::size_t deferred_bytes = 0;
   };
 
+  Connection* find(std::uint32_t id);
+  void schedule_retire(std::uint32_t id);
+  void retire(std::uint32_t id);
   void on_message(std::uint32_t id, crypto::ConstBytes msg);
   void deliver_message(std::uint32_t id, crypto::ConstBytes msg);
   void charge_core(Connection& conn, MsgKind kind, std::size_t body_bytes,
@@ -387,7 +402,15 @@ class SecureSessionServer {
   std::unique_ptr<engine::OffloadEngine> offload_;
   std::unique_ptr<ticket::TicketKeyRing> ticket_ring_;
   std::unique_ptr<ticket::TicketCodec> ticket_codec_;
-  std::vector<std::unique_ptr<Connection>> connections_;  // index == id
+  /// Keyed by id. Ids are dense and never reused (the single loop's
+  /// wire id, SPI and nonce stream derive from them); entries leave at
+  /// retirement, so the table holds only live connections.
+  std::unordered_map<std::uint32_t, Connection> connections_;
+  std::uint32_t next_id_ = 0;
+  /// Connections holding a pending echo / deferred appdata: what a flush
+  /// visits (sorted into id order), instead of the whole table.
+  std::vector<std::uint32_t> echo_ids_;
+  std::vector<std::uint32_t> deferred_ids_;
   bool flush_scheduled_ = false;
   std::size_t handshakes_in_flight_ = 0;  // connections in kHandshake
   std::size_t established_count_ = 0;     // connections in kEstablished

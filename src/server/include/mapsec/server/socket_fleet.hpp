@@ -52,6 +52,10 @@ class SocketServerFleet {
     net::SocketStats sockets;
     std::uint64_t accepted = 0;
     bool conserved = false;
+    /// Connection-table entries and pipeline SAs left at stop. Finished
+    /// connections retire both, so a drained shard reports 0 and 0.
+    std::size_t tracked_connections = 0;
+    std::size_t live_sas = 0;
   };
 
   struct Report {

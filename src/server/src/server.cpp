@@ -58,21 +58,20 @@ std::uint32_t SecureSessionServer::accept(net::Channel& tx,
 std::uint32_t SecureSessionServer::accept(net::Channel& tx,
                                           net::Channel& rx,
                                           const AcceptOptions& opts) {
-  const std::uint32_t id =
-      static_cast<std::uint32_t>(connections_.size());
-  auto conn = std::make_unique<Connection>();
-  conn->id = id;
-  conn->wire_id = opts.wire_id != 0 ? opts.wire_id : id;
+  const std::uint32_t id = next_id_++;
+  Connection& conn = connections_[id];
+  conn.id = id;
+  conn.wire_id = opts.wire_id != 0 ? opts.wire_id : id;
   if (opts.rng_seed != 0)
-    conn->rng = std::make_unique<crypto::HmacDrbg>(opts.rng_seed);
-  conn->accepted_at = queue_.now();
-  conn->last_activity = queue_.now();
-  conn->link = std::make_unique<net::ReliableLink>(queue_, tx, rx,
-                                                   config_.link);
-  conn->link->set_on_message([this, id](crypto::ConstBytes msg) {
+    conn.rng = std::make_unique<crypto::HmacDrbg>(opts.rng_seed);
+  conn.accepted_at = queue_.now();
+  conn.last_activity = queue_.now();
+  conn.link = std::make_unique<net::ReliableLink>(queue_, tx, rx,
+                                                  config_.link);
+  conn.link->set_on_message([this, id](crypto::ConstBytes msg) {
     on_message(id, msg);
   });
-  conn->link->set_on_error([this, id](const std::string& reason) {
+  conn.link->set_on_error([this, id](const std::string& reason) {
     on_link_error(id, reason);
   });
   ++stats_.connections_accepted;
@@ -81,8 +80,7 @@ std::uint32_t SecureSessionServer::accept(net::Channel& tx,
     // Shed before any handshake state exists: no TlsServer endpoint, no
     // timer, no queue slot — the refusal costs one message and a
     // lingering link.
-    refuse_connection(*conn);
-    connections_.push_back(std::move(conn));
+    refuse_connection(conn);
     return id;
   }
 
@@ -92,7 +90,7 @@ std::uint32_t SecureSessionServer::accept(net::Channel& tx,
   protocol::HandshakeConfig hs = config_.handshake;
   hs.resumption_only = degraded();
   hs.async_pk = offload_ != nullptr;
-  if (conn->rng) hs.rng = conn->rng.get();
+  if (conn.rng) hs.rng = conn.rng.get();
   if (ticket_codec_) {
     // Lazy interval rotation: the ring advances when traffic samples the
     // clock (no self-rescheduling event, so an idle queue still drains).
@@ -101,15 +99,15 @@ std::uint32_t SecureSessionServer::accept(net::Channel& tx,
     hs.ticket_codec = ticket_codec_.get();
     hs.ticket_now_us = queue_.now();
   }
-  conn->endpoint = std::make_unique<protocol::TlsServer>(hs, cache_);
-  conn->handshake_timer =
+  conn.endpoint = std::make_unique<protocol::TlsServer>(hs, cache_);
+  conn.handshake_timer =
       queue_.schedule_in(config_.handshake_timeout_us, [this, id] {
-        Connection& c = *connections_[id];
-        c.handshake_timer = 0;
-        if (c.state == ConnState::kHandshake)
-          fail_connection(c, "handshake timeout");
+        Connection* c = find(id);
+        if (c == nullptr) return;
+        c->handshake_timer = 0;
+        if (c->state == ConnState::kHandshake)
+          fail_connection(*c, "handshake timeout");
       });
-  connections_.push_back(std::move(conn));
   ++stats_.handshakes_started;
   ++handshakes_in_flight_;
   update_degraded();
@@ -140,10 +138,11 @@ void SecureSessionServer::refuse_connection(Connection& conn) {
   conn.link->send_message(make_msg(MsgKind::kRefused, {}));
   const std::uint32_t id = conn.id;
   queue_.schedule_in(config_.refusal_linger_us, [this, id] {
-    Connection& c = *connections_[id];
-    if (c.state == ConnState::kShed) {
-      c.state = ConnState::kClosed;
-      c.link->shutdown();
+    Connection* c = find(id);
+    if (c != nullptr && c->state == ConnState::kShed) {
+      c->state = ConnState::kClosed;
+      c->link->shutdown();
+      schedule_retire(id);
     }
   });
 }
@@ -197,31 +196,57 @@ bool SecureSessionServer::stats_conserved() const {
              open_connections();
 }
 
-std::size_t SecureSessionServer::open_connections() const {
-  std::size_t open = 0;
-  for (const auto& conn : connections_)
-    if (conn->state == ConnState::kHandshake ||
-        conn->state == ConnState::kEstablished)
-      ++open;
-  return open;
-}
-
 std::size_t SecureSessionServer::fail_all_connections(
     const std::string& reason) {
-  std::size_t failed = 0;
-  for (const auto& conn : connections_) {
-    if (conn->state != ConnState::kHandshake &&
-        conn->state != ConnState::kEstablished)
-      continue;
-    fail_connection(*conn, reason);
-    ++failed;
+  std::vector<std::uint32_t> open;
+  for (const auto& [id, conn] : connections_)
+    if (conn.state == ConnState::kHandshake ||
+        conn.state == ConnState::kEstablished)
+      open.push_back(id);
+  std::sort(open.begin(), open.end());  // the table's order is arbitrary
+  for (const std::uint32_t id : open)
+    fail_connection(connections_.at(id), reason);
+  return open.size();
+}
+
+SecureSessionServer::Connection* SecureSessionServer::find(
+    std::uint32_t id) {
+  const auto it = connections_.find(id);
+  return it == connections_.end() ? nullptr : &it->second;
+}
+
+void SecureSessionServer::schedule_retire(std::uint32_t id) {
+  // Never retire in place: the transition to a terminal state, or the
+  // link's death, usually happens inside a callback of that very link
+  // (or of the TlsServer's caller), which must be allowed to unwind.
+  queue_.schedule_in(0, [this, id] { retire(id); });
+}
+
+void SecureSessionServer::retire(std::uint32_t id) {
+  Connection* conn = find(id);
+  if (conn == nullptr || (conn->state != ConnState::kClosed &&
+                          conn->state != ConnState::kFailed))
+    return;
+  // Stage 1: the session is over. Its handshake endpoint, DRBG, queued
+  // data and SA can go now, even if its link must linger.
+  if (conn->endpoint) {
+    if (conn->endpoint->established()) pipeline_.remove_sa(conn->wire_id);
+    conn->endpoint.reset();
   }
-  return failed;
+  conn->rng.reset();
+  conn->pending_echo.clear();
+  conn->pending_echo_bytes = 0;
+  conn->deferred_appdata.clear();
+  conn->deferred_bytes = 0;
+  // Stage 2: a dead link delivers nothing more, so the entry can go.
+  // A live one (a graceful close still owes the peer its kCloseAck
+  // retransmission) comes back here through on_link_error when it dies.
+  if (conn->link->dead()) connections_.erase(id);
 }
 
 void SecureSessionServer::on_message(std::uint32_t id,
                                      crypto::ConstBytes msg) {
-  if (msg.empty()) return;
+  if (msg.empty() || find(id) == nullptr) return;
   const auto kind = static_cast<MsgKind>(msg[0]);
   // Modeled core: a handshake flight or appdata record that arrives while
   // this server's one core is still serving an earlier message queues
@@ -246,10 +271,11 @@ void SecureSessionServer::on_message(std::uint32_t id,
 
 void SecureSessionServer::deliver_message(std::uint32_t id,
                                           crypto::ConstBytes msg) {
-  Connection& conn = *connections_[id];
-  if (conn.state == ConnState::kClosed ||
-      conn.state == ConnState::kFailed || conn.state == ConnState::kShed)
+  Connection* found = find(id);
+  if (found == nullptr || found->state == ConnState::kClosed ||
+      found->state == ConnState::kFailed || found->state == ConnState::kShed)
     return;
+  Connection& conn = *found;
   conn.last_activity = queue_.now();
   const auto kind = static_cast<MsgKind>(msg[0]);
   const crypto::ConstBytes body = msg.subspan(1);
@@ -352,14 +378,15 @@ void SecureSessionServer::submit_pk(Connection& conn) {
   offload_->submit(
       conn.endpoint->pending_pk_job(),
       [this, id](const protocol::PkResult& result) {
-        Connection& c = *connections_[id];
-        if (c.state != ConnState::kHandshake || !c.endpoint ||
-            !c.endpoint->pk_pending()) {
+        Connection* found = find(id);
+        if (found == nullptr || found->state != ConnState::kHandshake ||
+            !found->endpoint || !found->endpoint->pk_pending()) {
           // Timed out / failed / closed while the job was in flight.
           ++stats_.offload_dropped;
           mirror_offload_stats();
           return;
         }
+        Connection& c = *found;
         try {
           const crypto::Bytes out = c.endpoint->resume_pk(result);
           if (!out.empty())
@@ -443,6 +470,10 @@ void SecureSessionServer::handle_appdata(Connection& conn,
         std::max<std::uint64_t>(stats_.peak_deferred_bytes,
                                 conn.deferred_bytes);
     conn.deferred_appdata.emplace_back(body.begin(), body.end());
+    if (!conn.deferred_listed) {
+      conn.deferred_listed = true;
+      deferred_ids_.push_back(conn.id);
+    }
     ++stats_.backpressure_deferrals;
     return;
   }
@@ -466,7 +497,12 @@ void SecureSessionServer::process_appdata(Connection& conn,
   }
   stats_.peak_pending_echo_bytes = std::max<std::uint64_t>(
       stats_.peak_pending_echo_bytes, conn.pending_echo_bytes);
-  if (!conn.pending_echo.empty()) schedule_flush();
+  if (conn.pending_echo.empty()) return;
+  if (!conn.echo_listed) {
+    conn.echo_listed = true;
+    echo_ids_.push_back(conn.id);
+  }
+  schedule_flush();
 }
 
 void SecureSessionServer::schedule_flush() {
@@ -481,11 +517,18 @@ void SecureSessionServer::flush_pipeline() {
 
   // Gather pending echoes in connection-id order: the job sequence — and
   // therefore each SA's nonce stream — is independent of arrival
-  // interleaving within the flush window and of the worker count.
+  // interleaving within the flush window and of the worker count. Only
+  // the connections holding an echo are visited, never the whole table.
+  std::vector<std::uint32_t> ids;
+  ids.swap(echo_ids_);
+  std::sort(ids.begin(), ids.end());
   std::vector<engine::PipelineJob> jobs;
   std::vector<std::pair<std::uint32_t, std::size_t>> meta;  // conn, plen
-  for (auto& conn_ptr : connections_) {
-    Connection& conn = *conn_ptr;
+  for (const std::uint32_t id : ids) {
+    Connection* found = find(id);
+    if (found == nullptr) continue;
+    Connection& conn = *found;
+    conn.echo_listed = false;
     if (conn.state != ConnState::kEstablished) continue;
     while (!conn.pending_echo.empty()) {
       crypto::Bytes payload = std::move(conn.pending_echo.front());
@@ -506,20 +549,27 @@ void SecureSessionServer::flush_pipeline() {
       pipeline_.run_batch(jobs);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const engine::PipelineResult& r = results[i];
-    Connection& conn = *connections_[meta[i].first];
+    Connection* conn = find(meta[i].first);
     stats_.engine_cycles += r.engine_cycles;
-    if (!r.accepted || conn.state != ConnState::kEstablished) continue;
+    if (!r.accepted || conn == nullptr ||
+        conn->state != ConnState::kEstablished)
+      continue;
     ++stats_.bulk_messages;
     stats_.bytes_sealed += meta[i].second;
     crypto::Bytes body = r.header;
     body.insert(body.end(), r.payload.begin(), r.payload.end());
-    conn.link->send_message(make_msg(MsgKind::kBulk, body));
+    conn->link->send_message(make_msg(MsgKind::kBulk, body));
   }
 
-  // Queues drained: admit deferred application data (may re-arm the
-  // flush timer).
-  for (auto& conn_ptr : connections_) {
-    Connection& conn = *conn_ptr;
+  // Queues drained: admit deferred application data, in id order (may
+  // re-arm the flush timer).
+  ids.clear();
+  ids.swap(deferred_ids_);
+  std::sort(ids.begin(), ids.end());
+  for (const std::uint32_t id : ids) {
+    Connection* found = find(id);
+    if (found == nullptr) continue;
+    Connection& conn = *found;
     while (!conn.deferred_appdata.empty() &&
            conn.state == ConnState::kEstablished &&
            conn.pending_echo_bytes < config_.max_pending_echo_bytes) {
@@ -528,6 +578,11 @@ void SecureSessionServer::flush_pipeline() {
       conn.deferred_bytes -= std::min(conn.deferred_bytes, records.size());
       process_appdata(conn, records);
     }
+    if (!conn.deferred_appdata.empty() &&
+        conn.state == ConnState::kEstablished)
+      deferred_ids_.push_back(id);  // still backpressured: stays listed
+    else
+      conn.deferred_listed = false;
   }
 }
 
@@ -536,15 +591,16 @@ void SecureSessionServer::arm_idle_timer(Connection& conn) {
   conn.idle_timer = queue_.schedule_at(
       net::sat_add_time(conn.last_activity, config_.idle_timeout_us),
       [this, id] {
-        Connection& c = *connections_[id];
-        c.idle_timer = 0;
-        if (c.state != ConnState::kEstablished) return;
+        Connection* c = find(id);
+        if (c == nullptr) return;
+        c->idle_timer = 0;
+        if (c->state != ConnState::kEstablished) return;
         if (queue_.now() >=
-            net::sat_add_time(c.last_activity, config_.idle_timeout_us)) {
-          close_connection(c, &ServerStats::idle_closes);
-          c.link->shutdown();  // stop acking a peer we gave up on
+            net::sat_add_time(c->last_activity, config_.idle_timeout_us)) {
+          close_connection(*c, &ServerStats::idle_closes);
+          c->link->shutdown();  // stop acking a peer we gave up on
         } else {
-          arm_idle_timer(c);  // activity since scheduling: re-arm
+          arm_idle_timer(*c);  // activity since scheduling: re-arm
         }
       });
 }
@@ -559,6 +615,7 @@ void SecureSessionServer::close_connection(
   ++(stats_.*counter);
   // The link stays up (unless the caller shuts it down): a graceful
   // close still owes the peer the retransmission of its kCloseAck.
+  schedule_retire(conn.id);
 }
 
 void SecureSessionServer::fail_connection(Connection& conn,
@@ -580,24 +637,30 @@ void SecureSessionServer::fail_connection(Connection& conn,
   ++stats_.failed_connections;
   mirror_ticket_stats();  // garbage tickets show up as open failures
   conn.link->shutdown();
+  schedule_retire(conn.id);
 }
 
 void SecureSessionServer::on_link_error(std::uint32_t id,
                                         const std::string& reason) {
-  Connection& conn = *connections_[id];
-  if (conn.state == ConnState::kClosed ||
-      conn.state == ConnState::kFailed) {
+  Connection* conn = find(id);
+  if (conn == nullptr) return;
+  if (conn->state == ConnState::kClosed ||
+      conn->state == ConnState::kFailed) {
+    // A finished connection's link died (say, the peer hung up after a
+    // graceful close): nothing holds the entry any more.
+    schedule_retire(id);
     return;
   }
-  if (conn.state == ConnState::kShed) {
+  if (conn->state == ConnState::kShed) {
     // The refusal could not be delivered (e.g. blackout): the shed
     // connection just goes quiet; it was already accounted as refused.
-    conn.state = ConnState::kClosed;
-    conn.link->shutdown();
+    conn->state = ConnState::kClosed;
+    conn->link->shutdown();
+    schedule_retire(id);
     return;
   }
   ++stats_.link_failures;
-  fail_connection(conn, reason);
+  fail_connection(*conn, reason);
 }
 
 }  // namespace mapsec::server

@@ -174,6 +174,8 @@ SocketServerFleet::Report SocketServerFleet::stop() {
     for (const auto& ep : shard->endpoints) sr.sockets += ep->stats();
     sr.accepted = shard->listener->accepted();
     sr.conserved = shard->server->stats_conserved();
+    sr.tracked_connections = shard->server->tracked_connections();
+    sr.live_sas = shard->server->pipeline().sa_count();
 
     accumulate_stats(report.server, sr.server);
     report.sockets += sr.sockets;

@@ -156,6 +156,59 @@ TEST(PipelineTest, UnknownSaIsDroppedNotFatal) {
   EXPECT_EQ(r[0].drop_reason, "unknown SA");
 }
 
+/// Seal outbound_jobs() as a stream of one-packet-per-SA batches; with
+/// `remove_at` set, drop SA `victim` before that batch. Returns every
+/// result in stream order.
+std::vector<PipelineResult> sealed_stream(std::size_t workers,
+                                          std::uint32_t victim,
+                                          std::size_t remove_at) {
+  auto p = make_pipeline(workers);
+  const std::vector<PipelineJob> jobs = outbound_jobs();
+  std::vector<PipelineResult> out;
+  for (std::size_t b = 0; b < kPacketsPerSa; ++b) {
+    if (b == remove_at) {
+      p->remove_sa(victim);
+      EXPECT_EQ(p->sa_count(), kNumSas - 1);
+    }
+    const std::vector<PipelineJob> batch(
+        jobs.begin() + static_cast<std::ptrdiff_t>(b * kNumSas),
+        jobs.begin() + static_cast<std::ptrdiff_t>((b + 1) * kNumSas));
+    for (PipelineResult& r : p->run_batch(batch)) out.push_back(std::move(r));
+  }
+  return out;
+}
+
+TEST(PipelineTest, RemovedSaLeavesEveryOtherSaBitIdentical) {
+  constexpr std::uint32_t kVictim = 3;
+  constexpr std::size_t kRemoveAt = 5;
+  for (const std::size_t workers : {1u, 3u}) {
+    const auto kept = sealed_stream(workers, kVictim, kPacketsPerSa);
+    const auto removed = sealed_stream(workers, kVictim, kRemoveAt);
+    ASSERT_EQ(kept.size(), removed.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      const auto sa = static_cast<std::uint32_t>(i % kNumSas);
+      const std::size_t batch = i / kNumSas;
+      if (sa == kVictim && batch >= kRemoveAt) {
+        // A job on the removed id is refused, not a crash.
+        EXPECT_FALSE(removed[i].accepted);
+        EXPECT_EQ(removed[i].drop_reason, "unknown SA");
+        continue;
+      }
+      ASSERT_TRUE(kept[i].accepted) << kept[i].drop_reason;
+      EXPECT_TRUE(removed[i].accepted) << "workers " << workers << " job " << i;
+      EXPECT_EQ(removed[i].header, kept[i].header);
+      EXPECT_EQ(removed[i].payload, kept[i].payload)
+          << "workers " << workers << " job " << i;
+    }
+  }
+}
+
+TEST(PipelineTest, RemoveSaOfAnUnknownIdIsANoOp) {
+  auto p = make_pipeline(2);
+  p->remove_sa(999);
+  EXPECT_EQ(p->sa_count(), kNumSas);
+}
+
 TEST(PipelineTest, CcmpRejectsTamperedAad) {
   // Flipping a header (AAD) bit after sealing must fail the CCM open.
   auto p = make_pipeline(1);

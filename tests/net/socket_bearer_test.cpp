@@ -1,9 +1,11 @@
 // Real-socket bearer tests: loopback echo, writev coalescing, partial-
 // write backpressure, hard-reset containment, arena recycling, paused
-// accepts. Every test runtime-probes loopback TCP and skips visibly when
-// the sandbox has no network stack.
+// accepts. Every socket test runtime-probes loopback TCP and skips
+// visibly when the sandbox has no network stack. The reactor's timer
+// precision needs no socket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -295,6 +297,29 @@ TEST(SocketBearer, OversizeInboundFrameKillsConnectionCleanly) {
       << server_error;
   EXPECT_EQ(arena.stats().acquires,
             arena.stats().recycles + arena.stats().in_use);
+}
+
+// The reactor sleeps to the microsecond deadline its queue asks for. A
+// timer 300 us out must fire well under a millisecond late; rounding the
+// epoll timeout up to whole milliseconds makes it at least 700 us late.
+TEST(ReactorTest, TimerFiresNearItsMicrosecondDeadline) {
+  MonotonicClock clock;
+  Reactor reactor(clock);
+  std::vector<SimTime> lateness;
+  for (int trial = 0; trial < 21; ++trial) {
+    reactor.poll(0);  // bring the queue's clock up to now
+    const SimTime deadline = clock.now_us() + 300;
+    SimTime fired_at = 0;
+    reactor.queue().schedule_at(deadline,
+                                [&] { fired_at = clock.now_us(); });
+    for (int turn = 0; turn < 100 && fired_at == 0; ++turn)
+      reactor.poll(5'000);
+    ASSERT_NE(fired_at, 0u) << "timer never fired";
+    ASSERT_GE(fired_at, deadline);
+    lateness.push_back(fired_at - deadline);
+  }
+  std::nth_element(lateness.begin(), lateness.begin() + 10, lateness.end());
+  EXPECT_LT(lateness[10], 400u) << "median lateness in us";
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // mapsec::server tests: bounded resumption cache, handshakes over lossy
-// channels, retry/backoff clean failure, backpressure, idle reaping, and
-// the 1000-session soak whose transcript must be bit-identical for any
-// PacketPipeline worker count.
+// channels, retry/backoff clean failure, backpressure, idle reaping,
+// connection retirement, and the 1000-session soak whose transcript must
+// be bit-identical for any PacketPipeline worker count.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "mapsec/crypto/rng.hpp"
 #include "mapsec/platform/processor.hpp"
@@ -338,6 +340,56 @@ TEST_F(ServerTest, SoakIsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(one.server.handshake_latencies_us,
             three.server.handshake_latencies_us);
   EXPECT_EQ(one.sim_duration_s, three.sim_duration_s);
+}
+
+// Retirement: in a soak where every connection fails (handshake timeout
+// under loss), idles out or is refused, the table holds only the open
+// connections at every step, the pipeline holds an SA for exactly the
+// established ones, and ids are never reused.
+TEST_F(ServerTest, RetiredConnectionsLeaveTheTableAndThePipeline) {
+  ClientConfig client = client_config();
+  client.linger = true;  // handshake, then silence: the idle timeout reaps
+
+  ServerConfig server = server_config();
+  server.idle_timeout_us = 100'000;
+  server.handshake_timeout_us = 30'000;  // one lost flight misses it
+  server.max_open_connections = 3;
+  server.refusal_linger_us = 1;
+
+  LoadConfig load = load_config(60);
+  load.mean_interarrival_us = 2'000;
+  load.channel.loss_rate = 0.05;
+  load.seed = 0x2E71;
+
+  std::unique_ptr<net::DuplexChannel> late;  // outlives the world
+  FleetWorld world(load, server, client, {});
+  SecureSessionServer& srv = world.server(0);
+  net::EventQueue& queue = world.queue(0);
+  std::size_t peak_open = 0;
+  while (!queue.empty()) {
+    queue.run_until(queue.now() + 5'000);
+    peak_open = std::max(peak_open, srv.open_connections());
+    ASSERT_EQ(srv.tracked_connections(), srv.open_connections())
+        << "at t=" << queue.now();
+    ASSERT_EQ(srv.pipeline().sa_count(), srv.established_connections())
+        << "at t=" << queue.now();
+  }
+  const ServerStats& stats = srv.stats();
+  EXPECT_GT(peak_open, 0u);
+  EXPECT_GT(stats.idle_closes, 0u);
+  EXPECT_GT(stats.failed_connections, 0u);
+  EXPECT_GT(stats.refused_connections, 0u);
+  EXPECT_EQ(stats.graceful_closes, 0u);
+  EXPECT_TRUE(srv.stats_conserved());
+  EXPECT_EQ(srv.tracked_connections(), 0u);
+  EXPECT_EQ(srv.pipeline().sa_count(), 0u);
+
+  // Every id 0..accepted-1 was handed out; the next one is new.
+  late = std::make_unique<net::DuplexChannel>(queue, load.channel,
+                                              load.channel, 0x1A7E);
+  const std::uint64_t accepted = stats.connections_accepted;
+  EXPECT_EQ(srv.accept(late->b_to_a(), late->a_to_b()), accepted);
+  EXPECT_EQ(srv.tracked_connections(), 1u);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // through the sim LoadGenerator (loss-free channels) and once over real
 // loopback TCP, and every session outcome — handshake mix, completion
 // counts, echoes, fleet transcript digest — must be identical. Plus the
-// chaos hooks (hard resets, paused accepts) against live shards.
+// chaos hooks (hard resets, paused accepts) against live shards, and
+// connection retirement over a long run.
 #include <gtest/gtest.h>
 
 #include "mapsec/crypto/rng.hpp"
@@ -214,6 +215,41 @@ TEST_F(SocketFleetTest, PausedAcceptsHoldTheDoorThenDrain) {
   ASSERT_TRUE(reactor.run_until(
       [&fleet] { return fleet.accepted_on(0) == 2; }, 5'000'000));
   fleet.stop();
+}
+
+// Retirement over real TCP: one shard serves 500 sessions, each client's
+// back to back. Every finished connection leaves the connection table
+// and its SA leaves the pipeline, so at stop both are empty and the books
+// still balance. Tearing a link down under a live endpoint is the
+// use-after-free risk, which is why this also runs in the ASan tree.
+TEST_F(SocketFleetTest, ShardRetiresEveryFinishedConnection) {
+  REQUIRE_SOCKETS();
+  SocketFleetConfig fleet_cfg;
+  fleet_cfg.shards = 1;
+  fleet_cfg.reserve_slabs_per_shard = 128;
+  SocketServerFleet fleet(fleet_cfg, server_config(), {});
+  ASSERT_TRUE(fleet.ok());
+  fleet.start();
+
+  ClientConfig client = client_config();
+  client.sessions = 100;
+  client.payloads_per_session = 1;
+  client.think_time_us = 0;
+  SocketLoadConfig load;
+  load.num_clients = 5;
+  load.reserve_slabs = 128;
+  SocketClientFleet clients(load, client, server_config(), fleet.ports());
+  const SocketClientReport socket = clients.run();
+  const SocketServerFleet::Report servers = fleet.stop();
+
+  ASSERT_TRUE(socket.all_finished) << "fleet blew the wall budget";
+  EXPECT_EQ(socket.sessions_completed, 500u);
+  EXPECT_EQ(socket.echo_mismatches, 0u);
+  EXPECT_EQ(servers.server.connections_accepted, socket.connection_attempts);
+  EXPECT_TRUE(servers.conserved);
+  ASSERT_EQ(servers.shards.size(), 1u);
+  EXPECT_EQ(servers.shards[0].tracked_connections, 0u);
+  EXPECT_EQ(servers.shards[0].live_sas, 0u);
 }
 
 }  // namespace
