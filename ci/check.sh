@@ -34,9 +34,30 @@ echo "== socket smoke (real loopback TCP) =="
 # sockets as its own named stage, so a sandbox without loopback TCP
 # skips VISIBLY instead of the coverage quietly evaporating into
 # GTEST_SKIP lines.
+#
+# It then drives the shipped server binary end to end: a 2-shard
+# `session_server --listen` served to an out-of-process
+# bench_socket_load_gen (50 clients x 2 sessions). The server must exit
+# 0 with its books conserved.
 if ./build/bench/bench_socket_load_gen --probe; then
   ctest --test-dir build --output-on-failure -j "${JOBS}" \
     -R 'SocketFleetTest|SocketBearer'
+  SMOKE_LOG="$(mktemp)"
+  ./build/examples/session_server --listen --shards 2 --seconds 3 \
+    > "${SMOKE_LOG}" &
+  SERVER_PID=$!
+  for _ in $(seq 50); do
+    grep -q '^listening on' "${SMOKE_LOG}" && break
+    sleep 0.1
+  done
+  PORTS="$(sed -n 's/^listening on 127\.0\.0\.1 ports \([0-9,]*\) .*/\1/p' \
+    "${SMOKE_LOG}")"
+  ./build/bench/bench_socket_load_gen --ports="${PORTS}" --clients=50 \
+    --sessions=2 > /dev/null || { kill "${SERVER_PID}"; exit 1; }
+  wait "${SERVER_PID}"
+  cat "${SMOKE_LOG}"
+  grep -q '^books conserved' "${SMOKE_LOG}"
+  rm -f "${SMOKE_LOG}"
 else
   echo "SKIP: loopback sockets unavailable in this sandbox"
 fi

@@ -70,6 +70,13 @@ int run_listen(std::size_t shards, unsigned seconds) {
               static_cast<unsigned long long>(r.server.full_handshakes),
               static_cast<unsigned long long>(r.server.resumed_handshakes),
               static_cast<unsigned long long>(r.server.bulk_messages));
+  // The fleet's merged histogram: wall-clock microseconds from accept to
+  // handshake completion on the server side.
+  const analysis::LatencyHistogram& hs = r.server.handshake_latency;
+  std::printf("server-side handshake p50 %.3f ms, p99 %.3f ms "
+              "(%zu handshakes, merged over %zu shard%s)\n",
+              hs.percentile(0.50) / 1e3, hs.percentile(0.99) / 1e3,
+              hs.count(), r.shards.size(), r.shards.size() == 1 ? "" : "s");
   std::printf("books %s, arena %llu allocations for %zu reserved slabs "
               "(peak %zu in use)\n",
               r.conserved ? "conserved" : "NOT CONSERVED",

@@ -51,6 +51,10 @@ class LatencyHistogram {
   std::size_t buckets() const { return counts_.size(); }
   std::uint64_t bucket_count(std::size_t i) const { return counts_[i]; }
   std::uint64_t overflow() const { return counts_.back(); }
+  /// Heap the histogram holds: fixed by its layout, never by count().
+  std::size_t heap_bytes() const {
+    return counts_.capacity() * sizeof(std::uint64_t);
+  }
 
   /// q-quantile (q in [0, 1]) read off the bucket counts: the q·count-th
   /// sample located by cumulative mass, uniformly interpolated inside its
@@ -61,6 +65,11 @@ class LatencyHistogram {
   /// Add `other`'s counts into `dst`. Layouts (width, bucket count) must
   /// match; throws std::invalid_argument otherwise.
   friend void merge(LatencyHistogram& dst, const LatencyHistogram& other);
+
+  /// Same layout, same bucket counts, and the same count, sum, min and
+  /// max.
+  friend bool operator==(const LatencyHistogram&,
+                         const LatencyHistogram&) = default;
 
  private:
   double width_;

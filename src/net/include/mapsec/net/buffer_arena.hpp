@@ -6,7 +6,7 @@
 // port. The real-socket bearer is therefore built against this arena: a
 // fixed-size slab recycler whose steady state allocates nothing. Every
 // per-connection rx/tx byte queue (SlabQueue) borrows slabs, readv
-// scatters straight into them, writev gathers straight out of them, and
+// scatters straight into them, sendmsg gathers straight out of them, and
 // a closed connection returns its slabs to the free list for the next
 // one. The Stats counters are the audit trail: `allocations` only moves
 // when the free list was empty — which, by construction, is exactly when
@@ -67,7 +67,7 @@ class BufferArena {
 /// Byte FIFO over arena slabs with scatter/gather views. The socket
 /// bearer keeps one per direction per connection: readv() lands bytes in
 /// the regions writable() exposes (tail free space plus one staged spare
-/// slab — genuine scatter once the tail is partially filled), writev()
+/// slab — genuine scatter once the tail is partially filled), sendmsg()
 /// drains the regions gather() exposes. All slabs go back to the arena
 /// on release() or destruction. Only the front/back slabs are partial;
 /// every interior slab is full.

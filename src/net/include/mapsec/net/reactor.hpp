@@ -6,8 +6,9 @@
 // (MonotonicClock in production, so ReliableLink RTOs and server idle
 // sweeps fire at real deadlines), a level-triggered epoll set for the
 // sockets, and a deferred-flush list so every endpoint that queued bytes
-// during a dispatch round gets exactly one writev at the end of the round
-// — records produced by separate send() calls coalesce into one syscall.
+// during a dispatch round gets exactly one gathering send at the end of
+// the round — records produced by separate send() calls coalesce into
+// one syscall.
 //
 // Threading: everything runs on the reactor's thread except post(),
 // which is the one cross-thread entry point (mutex-guarded queue plus an

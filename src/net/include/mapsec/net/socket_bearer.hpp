@@ -6,8 +6,8 @@
 // same seam: a SocketEndpoint wraps one connected TCP fd and exposes two
 // Channel facades (tx/rx) that frame records with FrameCodec, queue bytes
 // in arena-backed SlabQueues, and move them with vectored syscalls —
-// writev gathers every record queued during a reactor round into one
-// submission, readv scatters into pooled slabs. A SocketListener accepts
+// one gathering sendmsg(MSG_NOSIGNAL) submits every record queued during
+// a reactor round, readv scatters into pooled slabs. A SocketListener accepts
 // on 127.0.0.1 and hands fresh endpoints to the shard that owns the
 // reactor. Steady state allocates nothing on the record path: all byte
 // storage is borrowed from the shard's BufferArena and recycled on
@@ -51,10 +51,12 @@ struct SocketStats {
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
+  /// Gathering sends that moved bytes. The sends are sendmsg calls (for
+  /// MSG_NOSIGNAL); the name is kept because reports read it.
   std::uint64_t writev_calls = 0;
   std::uint64_t readv_calls = 0;
-  std::uint64_t partial_writes = 0;  // writev moved some but not all bytes
-  std::uint64_t eagain_writes = 0;   // writev found the socket full
+  std::uint64_t partial_writes = 0;  // a send moved some but not all bytes
+  std::uint64_t eagain_writes = 0;   // a send found the socket full
   std::uint64_t failures = 0;        // terminal errors (reset, oversize, ...)
 
   SocketStats& operator+=(const SocketStats& o) {

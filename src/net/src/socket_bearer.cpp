@@ -199,7 +199,13 @@ void SocketEndpoint::flush_now() {
       iov[i].iov_len = slices[i].len;
       total += slices[i].len;
     }
-    ssize_t n = writev(fd_, iov, static_cast<int>(count));
+    // sendmsg over the same iovec, so the gather is one syscall as with
+    // writev, but MSG_NOSIGNAL turns a write to a reset peer into EPIPE
+    // on this connection instead of a process-killing SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -210,7 +216,7 @@ void SocketEndpoint::flush_now() {
         }
         return;
       }
-      fail("writev: " + errno_string(errno));
+      fail("sendmsg: " + errno_string(errno));
       return;
     }
     ++stats_.writev_calls;

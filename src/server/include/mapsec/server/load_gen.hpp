@@ -86,6 +86,17 @@ struct ArenaUsage {
   std::uint64_t recycles = 0;
   std::size_t peak_in_use = 0;
   std::size_t reserved = 0;
+
+  /// Fold another arena's books in (every field adds: a fleet's peak is
+  /// bounded by the sum of its shards' peaks).
+  ArenaUsage& operator+=(const ArenaUsage& o) {
+    allocations += o.allocations;
+    acquires += o.acquires;
+    recycles += o.recycles;
+    peak_in_use += o.peak_in_use;
+    reserved += o.reserved;
+    return *this;
+  }
 };
 
 /// What an honest client fleet's session records add up to — the outcome
@@ -170,9 +181,6 @@ struct LoadReport : FleetTally {
   double full_handshake_p99_ms = 0;
   double resumed_handshake_p50_ms = 0;
   double resumed_handshake_p99_ms = 0;
-  /// Fleet p99 handshake latency off the MERGED per-shard histograms
-  /// (analysis::merge — exact aggregation, not a p99-of-p99s).
-  double handshake_hist_p99_ms = 0;
 
   /// Active crypto backend summary (crypto::dispatch via the engine),
   /// recorded so serving rates carry their hardware context.

@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "mapsec/analysis/stats.hpp"
 #include "mapsec/engine/offload_engine.hpp"
 #include "mapsec/engine/packet_pipeline.hpp"
 #include "mapsec/net/link.hpp"
@@ -171,77 +172,89 @@ struct FleetControl {
   bool degraded = false;
 };
 
+/// Every scalar ServerStats field, declared once as X(type, name, merge).
+/// `merge` says how two shards' values combine: `sum` for counters and
+/// totals, `max` for high-water marks. The members and operator+= are
+/// both generated from this list, so the fleet merge covers every field
+/// by construction.
+#define MAPSEC_SERVER_STATS_FIELDS(X)                                     \
+  X(std::uint64_t, connections_accepted, sum)                             \
+  X(std::uint64_t, handshakes_started, sum)                               \
+  X(std::uint64_t, handshakes_completed, sum)                             \
+  X(std::uint64_t, handshakes_failed, sum)                                \
+  X(std::uint64_t, full_handshakes, sum)                                  \
+  X(std::uint64_t, resumed_handshakes, sum)                               \
+  X(std::uint64_t, app_messages, sum)                                     \
+  X(std::uint64_t, bulk_messages, sum)                                    \
+  X(std::uint64_t, bytes_opened, sum) /* app plaintext received */        \
+  X(std::uint64_t, bytes_sealed, sum) /* app plaintext protected */       \
+  X(std::uint64_t, backpressure_deferrals, sum)                           \
+  X(std::uint64_t, idle_closes, sum)                                      \
+  X(std::uint64_t, graceful_closes, sum)                                  \
+  X(std::uint64_t, link_failures, sum)                                    \
+  X(double, engine_cycles, sum) /* simulated pipeline cost, bulk path */  \
+  /* ---- robustness / overload accounting ---- */                       \
+  X(std::uint64_t, failed_connections, sum) /* every fail_connection */   \
+  X(std::uint64_t, refused_connections, sum) /* shed by admission */      \
+  X(std::uint64_t, degraded_refusals, sum) /* full hs shed, degraded */   \
+  X(std::uint64_t, poisoned_connections, sum) /* exception contained */   \
+  X(std::uint64_t, deferred_overflow_closes, sum)                         \
+  X(std::uint64_t, degraded_transitions, sum) /* degraded-mode entries */ \
+  /* Degraded time over CLOSED stretches; the live total is               \
+     SecureSessionServer::degraded_time_us(). */                          \
+  X(double, degraded_time_us, sum)                                        \
+  /* Handshake-layer work performed, added at each connection's           \
+     terminal state: the inputs to attacker-energy pricing. */            \
+  X(std::uint64_t, handshake_rsa_private_ops, sum)                        \
+  X(std::uint64_t, handshake_bytes_rx, sum)                               \
+  X(std::uint64_t, handshake_bytes_tx, sum)                               \
+  /* Bounded-memory high-water marks: largest queued-echo and             \
+     deferred-appdata backlog any connection reached. */                  \
+  X(std::uint64_t, peak_pending_echo_bytes, max)                          \
+  X(std::uint64_t, peak_deferred_bytes, max)                              \
+  /* ---- modeled-core accounting (ServerConfig::core) ---- */            \
+  X(double, core_busy_us, sum) /* simulated service time consumed */      \
+  X(std::uint64_t, core_deferred_msgs, sum) /* found the core busy */     \
+  X(std::uint64_t, core_peak_queue, max) /* deepest core backlog */       \
+  /* ---- stateless tickets; issued and open failures are read off the    \
+     TicketCodec by SecureSessionServer::stats() ---- */                  \
+  X(std::uint64_t, tickets_issued, sum) /* NewSessionTickets sealed */    \
+  X(std::uint64_t, ticket_resumptions, sum) /* resumed via ticket */      \
+  X(std::uint64_t, ticket_open_failures, sum) /* bad/stale/expired */     \
+  X(std::uint64_t, ticket_key_rotations, sum) /* interval+manual+chaos */ \
+  /* ---- public-key offload; all but `dropped` are read off the          \
+     OffloadEngine by SecureSessionServer::stats() ---- */                \
+  X(std::uint64_t, offload_submitted, sum)                                \
+  X(std::uint64_t, offload_completed, sum)                                \
+  X(std::uint64_t, offload_stolen, sum) /* wall-clock steals */           \
+  X(std::uint64_t, offload_dropped, sum) /* completions for dead conns */ \
+  X(std::uint64_t, offload_peak_depth, max) /* deferred hs at once */     \
+  X(std::uint64_t, offload_queue_wait_us, sum) /* wait for a free lane */ \
+  X(std::uint64_t, offload_lane_busy_us, sum) /* lane service time */     \
+  X(std::uint64_t, offload_batches, sum) /* lane windows dispatched */    \
+  X(std::uint64_t, offload_batched_jobs, sum) /* jobs sharing a window */ \
+  X(std::uint64_t, offload_max_batch_fill, max) /* largest window fill */
+
+/// One server's (or, merged, one fleet's) books. Constant size: the
+/// latencies live in fixed-layout histograms, so a long-lived server's
+/// bookkeeping never grows with the handshakes it has served.
 struct ServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t handshakes_started = 0;
-  std::uint64_t handshakes_completed = 0;
-  std::uint64_t handshakes_failed = 0;
-  std::uint64_t full_handshakes = 0;
-  std::uint64_t resumed_handshakes = 0;
-  std::uint64_t app_messages = 0;
-  std::uint64_t bulk_messages = 0;
-  std::uint64_t bytes_opened = 0;  // application plaintext received
-  std::uint64_t bytes_sealed = 0;  // application plaintext protected
-  std::uint64_t backpressure_deferrals = 0;
-  std::uint64_t idle_closes = 0;
-  std::uint64_t graceful_closes = 0;
-  std::uint64_t link_failures = 0;
-  double engine_cycles = 0;  // simulated pipeline cost of the bulk path
+#define MAPSEC_SERVER_STATS_MEMBER(type, name, merge) type name = 0;
+  MAPSEC_SERVER_STATS_FIELDS(MAPSEC_SERVER_STATS_MEMBER)
+#undef MAPSEC_SERVER_STATS_MEMBER
 
-  // ---- robustness / overload accounting -------------------------------
-  std::uint64_t failed_connections = 0;   // every fail_connection()
-  std::uint64_t refused_connections = 0;  // shed by admission control
-  std::uint64_t degraded_refusals = 0;    // full handshakes shed while degraded
-  std::uint64_t poisoned_connections = 0;  // non-protocol exception contained
-  std::uint64_t deferred_overflow_closes = 0;
-  std::uint64_t degraded_transitions = 0;  // entries into degraded mode
-  /// Simulated time spent in degraded mode over CLOSED stretches; use
-  /// SecureSessionServer::degraded_time_us() for the live total.
-  double degraded_time_us = 0;
-  /// Handshake-layer work the server actually performed, accumulated at
-  /// each connection's terminal state (complete or fail) — the inputs to
-  /// attacker-energy pricing: a flood's cost is the RSA ops plus the
-  /// bytes pushed through the record/handshake codecs.
-  std::uint64_t handshake_rsa_private_ops = 0;
-  std::uint64_t handshake_bytes_rx = 0;
-  std::uint64_t handshake_bytes_tx = 0;
-  /// High-water marks for the bounded-memory invariant: largest
-  /// queued-echo and deferred-appdata backlog any connection reached.
-  std::uint64_t peak_pending_echo_bytes = 0;
-  std::uint64_t peak_deferred_bytes = 0;
+  /// Completed-handshake latency in simulated microseconds (wall-clock
+  /// microseconds on the socket bearer), recorded at completion. The
+  /// split by kind compares full and resumed handshakes within ONE run
+  /// at one offered load — cross-scenario rate comparisons conflate
+  /// arrival rate with handshake cost.
+  analysis::LatencyHistogram handshake_latency;
+  analysis::LatencyHistogram full_handshake_latency;
+  analysis::LatencyHistogram resumed_handshake_latency;
 
-  // ---- modeled-core accounting (ServerConfig::core) -------------------
-  double core_busy_us = 0;             // simulated service time consumed
-  std::uint64_t core_deferred_msgs = 0;  // messages that found the core busy
-  std::uint64_t core_peak_queue = 0;     // deepest core backlog
-
-  // ---- stateless-ticket accounting (mirrors TicketCodec/KeyRing) ------
-  std::uint64_t tickets_issued = 0;        // NewSessionTickets sealed
-  std::uint64_t ticket_resumptions = 0;    // handshakes resumed via ticket
-  std::uint64_t ticket_open_failures = 0;  // bad/stale/expired blobs seen
-  std::uint64_t ticket_key_rotations = 0;  // interval + manual + chaos
-
-  // ---- public-key offload accounting (mirrors OffloadEngine stats) ----
-  std::uint64_t offload_submitted = 0;
-  std::uint64_t offload_completed = 0;
-  std::uint64_t offload_stolen = 0;   // wall-clock steals (chaos stalls)
-  std::uint64_t offload_dropped = 0;  // completions for dead connections
-  std::uint64_t offload_peak_depth = 0;     // deferred handshakes at once
-  std::uint64_t offload_queue_wait_us = 0;  // modeled wait for a free lane
-  std::uint64_t offload_lane_busy_us = 0;   // modeled lane service time
-  std::uint64_t offload_batches = 0;        // lane service windows dispatched
-  std::uint64_t offload_batched_jobs = 0;   // jobs that shared a window
-  std::uint64_t offload_max_batch_fill = 0;  // largest window fill
-
-  /// Completed-handshake latencies in simulated microseconds, in
-  /// completion order (run through analysis::percentile for p50/p99).
-  std::vector<double> handshake_latencies_us;
-  /// The same latencies split by handshake kind, so full and resumed
-  /// handshakes can be compared within ONE run at one offered load —
-  /// cross-scenario rate comparisons conflate arrival rate with
-  /// handshake cost (each scenario's sim duration differs).
-  std::vector<double> full_handshake_latencies_us;
-  std::vector<double> resumed_handshake_latencies_us;
+  /// Fold another shard's books in: `sum` fields add, `max` fields take
+  /// the larger value, histograms merge exactly.
+  ServerStats& operator+=(const ServerStats& other);
 
   double resumption_rate() const {
     return handshakes_completed == 0
@@ -289,7 +302,9 @@ class SecureSessionServer {
     fleet_control_ = control;
   }
 
-  const ServerStats& stats() const { return stats_; }
+  /// Snapshot of the books, with the OffloadEngine and TicketCodec
+  /// counters copied in.
+  ServerStats stats() const;
   const engine::PacketPipeline& pipeline() const { return pipeline_; }
   engine::PacketPipeline& pipeline_for_chaos() { return pipeline_; }
   /// nullptr when offload_workers == 0 (inline public-key mode).
@@ -379,8 +394,6 @@ class SecureSessionServer {
   void on_link_error(std::uint32_t id, const std::string& reason);
   void handle_handshake(Connection& conn, crypto::ConstBytes body);
   void submit_pk(Connection& conn);
-  void mirror_offload_stats();
-  void mirror_ticket_stats();
   void handle_appdata(Connection& conn, crypto::ConstBytes body);
   void process_appdata(Connection& conn, crypto::ConstBytes records);
   void complete_handshake(Connection& conn);

@@ -31,7 +31,6 @@
 #include <memory>
 #include <vector>
 
-#include "mapsec/analysis/stats.hpp"
 #include "mapsec/platform/gap.hpp"
 #include "mapsec/server/client.hpp"
 #include "mapsec/server/server.hpp"
@@ -59,12 +58,6 @@ std::size_t shard_for(std::uint32_t conn_key, std::size_t shards);
 std::size_t shard_for_live(std::uint32_t conn_key, std::size_t shards,
                            const std::vector<bool>& routable);
 
-/// Sum per-shard ServerStats into a fleet view: counters add, peaks take
-/// the max, latency vectors concatenate. Public so the supervisor can
-/// fold a dead shard's retired counters into the same totals the live
-/// merge uses.
-void accumulate_stats(ServerStats& fleet, const ServerStats& shard);
-
 /// Global wire identity for a connection attempt: the client's connection
 /// key and its per-client attempt ordinal, packed so the value is
 /// independent of which shard (and which dense local id) serves it.
@@ -89,11 +82,6 @@ struct ShardedServerConfig {
   /// FLEET cache capacity, split evenly across shard partitions
   /// (ceil(capacity / shards) each; 0 stays 0 for ticket mode).
   BoundedSessionCache::Config cache;
-
-  /// Per-shard handshake-latency histogram layout (analysis::merge
-  /// aggregates them exactly at reporting time).
-  double histogram_bucket_us = 250.0;
-  std::size_t histogram_buckets = 4096;
 };
 
 /// Per-shard slice of the fleet report (satellite of the conservation
@@ -104,7 +92,6 @@ struct ShardBreakdown {
   BoundedSessionCache::Stats cache;
   std::size_t cache_state_bytes = 0;
   std::size_t ticket_state_bytes = 0;
-  analysis::LatencyHistogram handshake_histogram;
 };
 
 class ShardedServer {
@@ -166,9 +153,8 @@ class ShardedServer {
   const FleetControl& fleet_control() const { return control_; }
   std::size_t open_connections() const;
 
-  /// Fleet totals: per-shard counters summed (peaks take the max; the
-  /// latency vectors concatenate in shard order), with the fleet-level
-  /// degraded accounting from the merge.
+  /// Fleet totals: every shard's books merged with ServerStats::+=, plus
+  /// the fleet-level degraded accounting from the merge.
   ServerStats fleet_stats() const;
   std::vector<ShardBreakdown> breakdown() const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "mapsec/analysis/stats.hpp"
 #include "mapsec/crypto/sha256.hpp"
 #include "mapsec/net/sim_clock.hpp"
 #include "mapsec/server/supervisor.hpp"
@@ -211,16 +210,11 @@ ServerStats FleetWorld::stats() const {
 
 std::vector<ShardBreakdown> FleetWorld::breakdown() const {
   if (tier_) return tier_->breakdown();
-  const ShardedServerConfig layout;
   ShardBreakdown b;
   b.server = server_->stats();
   b.cache = cache_->stats();
   b.cache_state_bytes = cache_->resumption_state_bytes();
   b.ticket_state_bytes = server_->ticket_state_bytes();
-  b.handshake_histogram = analysis::LatencyHistogram(
-      layout.histogram_bucket_us, layout.histogram_buckets);
-  for (const double v : b.server.handshake_latencies_us)
-    b.handshake_histogram.record(v);
   return {std::move(b)};
 }
 
@@ -255,12 +249,10 @@ LoadReport LoadGenerator::run() {
   report.control_applied = rs.control_applied;
   report.peak_open_connections = rs.peak_open_connections;
 
-  std::vector<analysis::LatencyHistogram> hists;
   for (const ShardBreakdown& b : report.shards) {
     report.cache += b.cache;
     report.cache_state_bytes += b.cache_state_bytes;
     report.ticket_state_bytes += b.ticket_state_bytes;
-    hists.push_back(b.handshake_histogram);
   }
   const auto lookups = report.cache.hits + report.cache.misses;
   report.cache_hit_rate = lookups == 0
@@ -280,21 +272,19 @@ LoadReport LoadGenerator::run() {
       static_cast<double>(report.server.bytes_opened +
                           report.server.bytes_sealed);
   report.record_mbps = protected_bytes * 8 / 1e6 / dur;
-  const auto ms = [](const std::vector<double>& us, double p) {
-    return analysis::percentile(us, p) / 1e3;
-  };
-  report.handshake_p50_ms = ms(report.server.handshake_latencies_us, 0.50);
-  report.handshake_p99_ms = ms(report.server.handshake_latencies_us, 0.99);
+  // Percentiles off the fleet's merged histograms: exact aggregation of
+  // the shards, read to within one bucket of the sorted sample.
+  const ServerStats& s = report.server;
+  report.handshake_p50_ms = s.handshake_latency.percentile(0.50) / 1e3;
+  report.handshake_p99_ms = s.handshake_latency.percentile(0.99) / 1e3;
   report.full_handshake_p50_ms =
-      ms(report.server.full_handshake_latencies_us, 0.50);
+      s.full_handshake_latency.percentile(0.50) / 1e3;
   report.full_handshake_p99_ms =
-      ms(report.server.full_handshake_latencies_us, 0.99);
+      s.full_handshake_latency.percentile(0.99) / 1e3;
   report.resumed_handshake_p50_ms =
-      ms(report.server.resumed_handshake_latencies_us, 0.50);
+      s.resumed_handshake_latency.percentile(0.50) / 1e3;
   report.resumed_handshake_p99_ms =
-      ms(report.server.resumed_handshake_latencies_us, 0.99);
-  report.handshake_hist_p99_ms =
-      analysis::merged_percentile(hists, 0.99) / 1e3;
+      s.resumed_handshake_latency.percentile(0.99) / 1e3;
   report.crypto_backend = engine::PacketPipeline::crypto_backend();
 
   platform::ServedLoad served;

@@ -6,6 +6,32 @@
 
 namespace mapsec::server {
 
+namespace {
+
+template <typename T>
+void merge_sum(T& dst, T src) {
+  dst += src;
+}
+
+template <typename T>
+void merge_max(T& dst, T src) {
+  dst = std::max(dst, src);
+}
+
+}  // namespace
+
+ServerStats& ServerStats::operator+=(const ServerStats& other) {
+#define MAPSEC_SERVER_STATS_MERGE(type, name, merge) \
+  merge_##merge(name, other.name);
+  MAPSEC_SERVER_STATS_FIELDS(MAPSEC_SERVER_STATS_MERGE)
+#undef MAPSEC_SERVER_STATS_MERGE
+  analysis::merge(handshake_latency, other.handshake_latency);
+  analysis::merge(full_handshake_latency, other.full_handshake_latency);
+  analysis::merge(resumed_handshake_latency,
+                  other.resumed_handshake_latency);
+  return *this;
+}
+
 SecureSessionServer::SecureSessionServer(net::EventQueue& queue,
                                          ServerConfig config,
                                          protocol::SessionCache* cache)
@@ -43,11 +69,26 @@ void SecureSessionServer::rotate_ticket_key() {
   ++stats_.ticket_key_rotations;
 }
 
-void SecureSessionServer::mirror_ticket_stats() {
-  if (!ticket_codec_) return;
-  const ticket::TicketCodec::Stats& ts = ticket_codec_->stats();
-  stats_.tickets_issued = ts.sealed;
-  stats_.ticket_open_failures = ts.open_failures();
+ServerStats SecureSessionServer::stats() const {
+  ServerStats snapshot = stats_;
+  if (offload_) {
+    const engine::OffloadStats& os = offload_->stats();
+    snapshot.offload_submitted = os.submitted;
+    snapshot.offload_completed = os.completed;
+    snapshot.offload_stolen = os.stolen;
+    snapshot.offload_peak_depth = os.peak_depth;
+    snapshot.offload_queue_wait_us = os.queue_wait_us;
+    snapshot.offload_lane_busy_us = os.lane_busy_us;
+    snapshot.offload_batches = os.batches;
+    snapshot.offload_batched_jobs = os.batched_jobs;
+    snapshot.offload_max_batch_fill = os.max_batch_fill;
+  }
+  if (ticket_codec_) {
+    const ticket::TicketCodec::Stats& ts = ticket_codec_->stats();
+    snapshot.tickets_issued = ts.sealed;
+    snapshot.ticket_open_failures = ts.open_failures();
+  }
+  return snapshot;
 }
 
 std::uint32_t SecureSessionServer::accept(net::Channel& tx,
@@ -383,7 +424,6 @@ void SecureSessionServer::submit_pk(Connection& conn) {
             !found->endpoint || !found->endpoint->pk_pending()) {
           // Timed out / failed / closed while the job was in flight.
           ++stats_.offload_dropped;
-          mirror_offload_stats();
           return;
         }
         Connection& c = *found;
@@ -401,22 +441,7 @@ void SecureSessionServer::submit_pk(Connection& conn) {
           ++stats_.poisoned_connections;
           fail_connection(c, e.what());
         }
-        mirror_offload_stats();
       });
-  mirror_offload_stats();
-}
-
-void SecureSessionServer::mirror_offload_stats() {
-  const engine::OffloadStats& os = offload_->stats();
-  stats_.offload_submitted = os.submitted;
-  stats_.offload_completed = os.completed;
-  stats_.offload_stolen = os.stolen;
-  stats_.offload_peak_depth = os.peak_depth;
-  stats_.offload_queue_wait_us = os.queue_wait_us;
-  stats_.offload_lane_busy_us = os.lane_busy_us;
-  stats_.offload_batches = os.batches;
-  stats_.offload_batched_jobs = os.batched_jobs;
-  stats_.offload_max_batch_fill = os.max_batch_fill;
 }
 
 void SecureSessionServer::complete_handshake(Connection& conn) {
@@ -432,13 +457,12 @@ void SecureSessionServer::complete_handshake(Connection& conn) {
   const protocol::HandshakeSummary& summary = conn.endpoint->summary();
   summary.resumed ? ++stats_.resumed_handshakes : ++stats_.full_handshakes;
   if (summary.ticket_resumed) ++stats_.ticket_resumptions;
-  mirror_ticket_stats();
   const double latency_us =
       static_cast<double>(queue_.now() - conn.accepted_at);
-  stats_.handshake_latencies_us.push_back(latency_us);
-  (summary.resumed ? stats_.resumed_handshake_latencies_us
-                   : stats_.full_handshake_latencies_us)
-      .push_back(latency_us);
+  stats_.handshake_latency.record(latency_us);
+  (summary.resumed ? stats_.resumed_handshake_latency
+                   : stats_.full_handshake_latency)
+      .record(latency_us);
 
   const BulkKeys keys = derive_bulk_keys(conn.endpoint->master_secret(),
                                          summary.session_id);
@@ -635,7 +659,6 @@ void SecureSessionServer::fail_connection(Connection& conn,
   }
   conn.state = ConnState::kFailed;
   ++stats_.failed_connections;
-  mirror_ticket_stats();  // garbage tickets show up as open failures
   conn.link->shutdown();
   schedule_retire(conn.id);
 }

@@ -9,69 +9,6 @@
 
 namespace mapsec::server {
 
-void accumulate_stats(ServerStats& fleet, const ServerStats& shard) {
-  fleet.connections_accepted += shard.connections_accepted;
-  fleet.handshakes_started += shard.handshakes_started;
-  fleet.handshakes_completed += shard.handshakes_completed;
-  fleet.handshakes_failed += shard.handshakes_failed;
-  fleet.full_handshakes += shard.full_handshakes;
-  fleet.resumed_handshakes += shard.resumed_handshakes;
-  fleet.app_messages += shard.app_messages;
-  fleet.bulk_messages += shard.bulk_messages;
-  fleet.bytes_opened += shard.bytes_opened;
-  fleet.bytes_sealed += shard.bytes_sealed;
-  fleet.backpressure_deferrals += shard.backpressure_deferrals;
-  fleet.idle_closes += shard.idle_closes;
-  fleet.graceful_closes += shard.graceful_closes;
-  fleet.link_failures += shard.link_failures;
-  fleet.engine_cycles += shard.engine_cycles;
-  fleet.failed_connections += shard.failed_connections;
-  fleet.refused_connections += shard.refused_connections;
-  fleet.degraded_refusals += shard.degraded_refusals;
-  fleet.poisoned_connections += shard.poisoned_connections;
-  fleet.deferred_overflow_closes += shard.deferred_overflow_closes;
-  fleet.degraded_transitions += shard.degraded_transitions;
-  fleet.degraded_time_us += shard.degraded_time_us;
-  fleet.handshake_rsa_private_ops += shard.handshake_rsa_private_ops;
-  fleet.handshake_bytes_rx += shard.handshake_bytes_rx;
-  fleet.handshake_bytes_tx += shard.handshake_bytes_tx;
-  fleet.peak_pending_echo_bytes = std::max(fleet.peak_pending_echo_bytes,
-                                           shard.peak_pending_echo_bytes);
-  fleet.peak_deferred_bytes =
-      std::max(fleet.peak_deferred_bytes, shard.peak_deferred_bytes);
-  fleet.core_busy_us += shard.core_busy_us;
-  fleet.core_deferred_msgs += shard.core_deferred_msgs;
-  fleet.core_peak_queue =
-      std::max(fleet.core_peak_queue, shard.core_peak_queue);
-  fleet.tickets_issued += shard.tickets_issued;
-  fleet.ticket_resumptions += shard.ticket_resumptions;
-  fleet.ticket_open_failures += shard.ticket_open_failures;
-  fleet.ticket_key_rotations += shard.ticket_key_rotations;
-  fleet.offload_submitted += shard.offload_submitted;
-  fleet.offload_completed += shard.offload_completed;
-  fleet.offload_stolen += shard.offload_stolen;
-  fleet.offload_dropped += shard.offload_dropped;
-  fleet.offload_peak_depth =
-      std::max(fleet.offload_peak_depth, shard.offload_peak_depth);
-  fleet.offload_queue_wait_us += shard.offload_queue_wait_us;
-  fleet.offload_lane_busy_us += shard.offload_lane_busy_us;
-  fleet.offload_batches += shard.offload_batches;
-  fleet.offload_batched_jobs += shard.offload_batched_jobs;
-  fleet.offload_max_batch_fill =
-      std::max(fleet.offload_max_batch_fill, shard.offload_max_batch_fill);
-  fleet.handshake_latencies_us.insert(fleet.handshake_latencies_us.end(),
-                                      shard.handshake_latencies_us.begin(),
-                                      shard.handshake_latencies_us.end());
-  fleet.full_handshake_latencies_us.insert(
-      fleet.full_handshake_latencies_us.end(),
-      shard.full_handshake_latencies_us.begin(),
-      shard.full_handshake_latencies_us.end());
-  fleet.resumed_handshake_latencies_us.insert(
-      fleet.resumed_handshake_latencies_us.end(),
-      shard.resumed_handshake_latencies_us.begin(),
-      shard.resumed_handshake_latencies_us.end());
-}
-
 std::size_t shard_for(std::uint32_t conn_key, std::size_t shards) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   for (int i = 0; i < 4; ++i) {
@@ -276,8 +213,8 @@ ShardedServer::RunStats ShardedServer::run(std::size_t max_events) {
 ServerStats ShardedServer::fleet_stats() const {
   ServerStats fleet;
   for (const auto& shard : shards_) {
-    accumulate_stats(fleet, shard->retired);
-    accumulate_stats(fleet, shard->server->stats());
+    fleet += shard->retired;
+    fleet += shard->server->stats();
   }
   // Degraded accounting is fleet-level under the merge; per-shard values
   // are zero by construction.
@@ -296,15 +233,11 @@ std::vector<ShardBreakdown> ShardedServer::breakdown() const {
     // history, so per-shard sums still reconcile with the fleet totals
     // after a death and rejoin.
     b.server = shards_[s]->retired;
-    accumulate_stats(b.server, shards_[s]->server->stats());
+    b.server += shards_[s]->server->stats();
     b.cache = shards_[s]->retired_cache;
     b.cache += shards_[s]->cache->stats();
     b.cache_state_bytes = shards_[s]->cache->resumption_state_bytes();
     b.ticket_state_bytes = shards_[s]->server->ticket_state_bytes();
-    b.handshake_histogram = analysis::LatencyHistogram(
-        config_.histogram_bucket_us, config_.histogram_buckets);
-    for (const double v : b.server.handshake_latencies_us)
-      b.handshake_histogram.record(v);
     out.push_back(std::move(b));
   }
   return out;
@@ -321,7 +254,7 @@ bool ShardedServer::conserved() const {
         r.graceful_closes + r.idle_closes + r.failed_connections +
             r.refused_connections)
       return false;
-    const ServerStats& s = shard->server->stats();
+    const ServerStats s = shard->server->stats();
     accepted += r.connections_accepted + s.connections_accepted;
     closed += r.graceful_closes + r.idle_closes + r.failed_connections +
               r.refused_connections;

@@ -12,14 +12,6 @@ namespace mapsec::server {
 
 namespace {
 
-void accumulate_arena(ArenaUsage& total, const ArenaUsage& part) {
-  total.allocations += part.allocations;
-  total.acquires += part.acquires;
-  total.recycles += part.recycles;
-  total.peak_in_use += part.peak_in_use;
-  total.reserved += part.reserved;
-}
-
 ArenaUsage arena_usage(const net::BufferArena& arena, std::size_t reserved) {
   ArenaUsage usage;
   usage.allocations = arena.stats().allocations;
@@ -177,9 +169,9 @@ SocketServerFleet::Report SocketServerFleet::stop() {
     sr.tracked_connections = shard->server->tracked_connections();
     sr.live_sas = shard->server->pipeline().sa_count();
 
-    accumulate_stats(report.server, sr.server);
+    report.server += sr.server;
     report.sockets += sr.sockets;
-    accumulate_arena(report.arena, sr.arena);
+    report.arena += sr.arena;
     report.accepted += sr.accepted;
     report.conserved = report.conserved && sr.conserved;
     report.zero_steady_state_alloc =

@@ -144,7 +144,7 @@ void ShardSupervisor::retire_world(std::size_t shard) {
   // Defensive sweep — by here every connection is closed (hard-kill
   // failed them; a completed drain watched them leave).
   sh.server->fail_all_connections("retired");
-  accumulate_stats(sh.retired, sh.server->stats());
+  sh.retired += sh.server->stats();
   sh.retired_cache += sh.cache->stats();
 }
 

@@ -1,12 +1,18 @@
-// Real-socket bearer tests: loopback echo, writev coalescing, partial-
-// write backpressure, hard-reset containment, arena recycling, paused
-// accepts. Every socket test runtime-probes loopback TCP and skips
-// visibly when the sandbox has no network stack. The reactor's timer
-// precision needs no socket.
+// Real-socket bearer tests: loopback echo, send coalescing, partial-
+// write backpressure, hard-reset containment, writes to a reset peer,
+// arena recycling, paused accepts. Every socket test runtime-probes
+// loopback TCP and skips visibly when the sandbox has no network stack.
+// The reactor's timer precision needs no socket.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mapsec/net/link.hpp"
@@ -211,6 +217,49 @@ TEST(SocketBearer, BearerResetFailsReliableLinkImmediately) {
   ASSERT_TRUE(rig.reactor.run_until([&link] { return link.dead(); },
                                     2'000'000));
   EXPECT_NE(link_error.find("bearer:"), std::string::npos) << link_error;
+}
+
+// A write to a peer that has gone away must fail the link, not raise
+// SIGPIPE (whose default action kills the whole server process). The
+// peer half-closes, then closes with SO_LINGER{0}: the server socket
+// takes the RST in CLOSE_WAIT, so its next send hits EPIPE on the very
+// first attempt, while the server still has a message queued for it.
+TEST(SocketBearer, WriteToResetPeerFailsTheLinkNotTheProcess) {
+  REQUIRE_SOCKETS();
+  EchoRig rig;
+  rig.echo = false;
+  const int peer = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(peer, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(rig.listener->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(connect(peer, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_TRUE(rig.reactor.run_until(
+      [&rig] { return !rig.accepted.empty(); }, 5'000'000));
+  SocketEndpoint& server_ep = *rig.accepted.front();
+  ReliableLink link(rig.reactor.queue(), server_ep.tx(), server_ep.rx(),
+                    LinkConfig{});
+  std::string link_error;
+  link.set_on_error(
+      [&link_error](const std::string& reason) { link_error = reason; });
+
+  // Queued, not yet written: the flush runs on the next reactor turn.
+  link.send_message(patterned(4096, 5));
+  ASSERT_EQ(shutdown(peer, SHUT_WR), 0);
+  linger hard{};
+  hard.l_onoff = 1;
+  hard.l_linger = 0;
+  ASSERT_EQ(setsockopt(peer, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard)), 0);
+  ASSERT_EQ(close(peer), 0);
+  // Let loopback deliver the FIN and the RST before the server writes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  ASSERT_TRUE(rig.reactor.run_until([&link] { return link.dead(); },
+                                    2'000'000));
+  EXPECT_NE(link_error.find("bearer:"), std::string::npos) << link_error;
+  EXPECT_FALSE(server_ep.open());
 }
 
 TEST(SocketBearer, ArenaSteadyStateAcrossConnectionChurn) {

@@ -345,21 +345,19 @@ TEST_F(FailoverTest, RetiredHistogramsMergeExactly) {
       EXPECT_TRUE(record.completed) << "client " << i;
 
   const ServerStats fleet = tier.fleet_stats();
-  const ShardedServerConfig layout;
-  analysis::LatencyHistogram merged(layout.histogram_bucket_us,
-                                    layout.histogram_buckets);
+  analysis::LatencyHistogram merged;
   std::size_t recorded = 0;
   ServerStats summed;
   for (const ShardBreakdown& b : tier.breakdown()) {
-    analysis::merge(merged, b.handshake_histogram);
-    recorded += b.server.handshake_latencies_us.size();
-    accumulate_stats(summed, b.server);
+    analysis::merge(merged, b.server.handshake_latency);
+    recorded += b.server.handshake_latency.count();
+    summed += b.server;
   }
   // Exact aggregation: merged bucket mass == every latency the fleet
   // (live + retired worlds) ever recorded == the fleet-stats view.
   EXPECT_GT(merged.count(), 0u);
   EXPECT_EQ(merged.count(), recorded);
-  EXPECT_EQ(recorded, fleet.handshake_latencies_us.size());
+  EXPECT_EQ(recorded, fleet.handshake_latency.count());
   EXPECT_EQ(summed.connections_accepted, fleet.connections_accepted);
   EXPECT_EQ(summed.failed_connections, fleet.failed_connections);
 

@@ -1,7 +1,8 @@
 // mapsec::server tests: bounded resumption cache, handshakes over lossy
 // channels, retry/backoff clean failure, backpressure, idle reaping,
-// connection retirement, and the 1000-session soak whose transcript must
-// be bit-identical for any PacketPipeline worker count.
+// connection retirement, constant-size stats and their merge, and the
+// 1000-session soak whose transcript must be bit-identical for any
+// PacketPipeline worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,6 +134,58 @@ TEST(BoundedCacheTest, ResumptionStateBytesGrowWithUsers) {
   EXPECT_EQ(cache.resumption_state_bytes(), 2 * at100);
 }
 
+// ------------------------------------------------------------ ServerStats
+
+// Members and operator+= are both generated from one field list; this
+// walks the same list, so a field the merge mishandles cannot hide.
+TEST(ServerStatsTest, MergeCoversEveryField) {
+  // Every member is a listed 8-byte scalar or one of the three latency
+  // histograms: a member declared outside the list changes the size.
+#define COUNT_FIELD(type, name, merge) +1
+  constexpr std::size_t kFields = 0 MAPSEC_SERVER_STATS_FIELDS(COUNT_FIELD);
+#undef COUNT_FIELD
+  static_assert(sizeof(ServerStats) ==
+                kFields * 8 + 3 * sizeof(analysis::LatencyHistogram));
+
+  // Field k holds k on one side and 100 + k on the other: distinct
+  // everywhere, and a sum (100 + 2k) never equals a max (100 + k).
+  ServerStats a;
+  ServerStats b;
+  double k = 0;
+#define SET_FIELD(type, name, merge) \
+  ++k;                               \
+  a.name = static_cast<type>(k);     \
+  b.name = static_cast<type>(100 + k);
+  MAPSEC_SERVER_STATS_FIELDS(SET_FIELD)
+#undef SET_FIELD
+  a.handshake_latency.record(1'000);
+  b.handshake_latency.record(9'000);
+  a.full_handshake_latency.record(2'000);
+  b.resumed_handshake_latency.record(3'000);
+
+  ServerStats ab = a;
+  ab += b;
+  ServerStats ba = b;
+  ba += a;
+  const auto sum = [](double x, double y) { return x + y; };
+  const auto max = [](double x, double y) { return std::max(x, y); };
+  k = 0;
+#define CHECK_FIELD(type, name, merge)                              \
+  ++k;                                                              \
+  EXPECT_EQ(ab.name, static_cast<type>(merge(k, 100 + k))) << #name; \
+  EXPECT_EQ(ba.name, ab.name) << #name;
+  MAPSEC_SERVER_STATS_FIELDS(CHECK_FIELD)
+#undef CHECK_FIELD
+  EXPECT_EQ(k, static_cast<double>(kFields));
+
+  EXPECT_EQ(ab.handshake_latency.count(), 2u);
+  EXPECT_DOUBLE_EQ(ab.handshake_latency.min(), 1'000.0);
+  EXPECT_DOUBLE_EQ(ab.handshake_latency.max(), 9'000.0);
+  EXPECT_EQ(ab.full_handshake_latency.count(), 1u);
+  EXPECT_EQ(ab.resumed_handshake_latency.count(), 1u);
+  EXPECT_EQ(ab.handshake_latency, ba.handshake_latency);
+}
+
 // ------------------------------------------------------- serving fixture
 
 /// Shared PKI: one CA, one server identity (RSA-512 for speed).
@@ -228,7 +281,39 @@ TEST_F(ServerTest, SecondSessionResumesThroughTheCache) {
   EXPECT_EQ(report.cache.hits, 3u);
   EXPECT_DOUBLE_EQ(report.server.resumption_rate(), 0.5);
   // Resumption skips the RSA exchange: it must be visibly cheaper.
-  ASSERT_EQ(report.server.handshake_latencies_us.size(), 6u);
+  ASSERT_EQ(report.server.handshake_latency.count(), 6u);
+}
+
+// Per-session bookkeeping is O(1): a server's stats hold the same heap
+// after 10 handshakes as after 2000, while still counting every one.
+TEST_F(ServerTest, StatsFootprintIsIndependentOfHandshakeCount) {
+  ClientConfig client = client_config();
+  client.sessions = 2;
+  FleetWorld world(load_config(1'000), server_config(), client,
+                   {.capacity = 1'000, .ttl_us = 0});
+  SecureSessionServer& srv = world.server(0);
+  net::EventQueue& queue = world.queue(0);
+  // Every other member is a scalar (ServerStatsTest pins that).
+  const auto heap_bytes = [](const ServerStats& s) {
+    return s.handshake_latency.heap_bytes() +
+           s.full_handshake_latency.heap_bytes() +
+           s.resumed_handshake_latency.heap_bytes();
+  };
+
+  while (!queue.empty() && srv.stats().handshakes_completed < 10)
+    queue.run_until(queue.now() + 1'000);
+  const ServerStats early = srv.stats();
+  ASSERT_GE(early.handshakes_completed, 10u);
+  ASSERT_LT(early.handshakes_completed, 100u);
+
+  queue.run_all();
+  const ServerStats late = srv.stats();
+  ASSERT_GE(late.handshakes_completed, 2'000u);
+  EXPECT_EQ(heap_bytes(late), heap_bytes(early));
+  EXPECT_EQ(late.handshake_latency.count(), late.handshakes_completed);
+  EXPECT_EQ(late.full_handshake_latency.count(), late.full_handshakes);
+  EXPECT_EQ(late.resumed_handshake_latency.count(),
+            late.resumed_handshakes);
 }
 
 TEST_F(ServerTest, ClientGivesUpCleanlyAfterRetryBudget) {
@@ -337,8 +422,8 @@ TEST_F(ServerTest, SoakIsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(one.fleet_digest, three.fleet_digest);
   EXPECT_EQ(one.sessions_completed, three.sessions_completed);
   EXPECT_EQ(one.server.bytes_sealed, three.server.bytes_sealed);
-  EXPECT_EQ(one.server.handshake_latencies_us,
-            three.server.handshake_latencies_us);
+  // Every bucket plus count, sum, min and max.
+  EXPECT_EQ(one.server.handshake_latency, three.server.handshake_latency);
   EXPECT_EQ(one.sim_duration_s, three.sim_duration_s);
 }
 
