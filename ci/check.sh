@@ -12,10 +12,12 @@
 #
 # Finally, re-records the benchmark baselines from the release tree and
 # diffs them against the committed BENCH_*.json, failing on >20%
-# throughput regressions. On by default — the release tree the suite
-# just built is exactly the tree the baselines describe. Set
-# MAPSEC_BENCH_COMPARE=0 to skip (e.g. on loaded or throttled hosts
-# where wall-clock throughput is meaningless).
+# throughput regressions, then runs the repository benchmark's
+# self-test (sockbench: every workload briefly, every metric emitted).
+# On by default — the release tree the suite just built is exactly the
+# tree the baselines describe. Set MAPSEC_BENCH_COMPARE=0 to skip both
+# (e.g. on loaded or throttled hosts where wall-clock throughput is
+# meaningless).
 #
 # Usage: ci/check.sh [jobs]
 set -euo pipefail
@@ -97,10 +99,14 @@ MAPSEC_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "${JOBS}" \
 
 echo "== thread-sanitizer tree (MAPSEC_SANITIZE=thread) =="
 # TSan covers the concurrency surface: the PacketPipeline's worker pool
-# and everything that drives it (server, chaos campaigns, wire fuzzing),
-# plus the ticket and renegotiation lifecycles whose record-path drains
-# ride the pipeline, and the sharded serving tier whose shard threads
-# hand the world back and forth with the coordinator at epoch barriers.
+# and everything that drives it (server, chaos campaigns, wire fuzzing).
+# A one-worker pipeline runs on its caller's thread and starts no pool,
+# so the pool's coverage comes from the multi-worker tests this filter
+# keeps: PipelineTest's 2-5 worker runs, the 3-worker server soak, and
+# the campaigns' 2- and 3-worker runs. Also covered: the ticket and
+# renegotiation lifecycles whose record-path drains ride the pipeline,
+# and the sharded serving tier whose shard threads hand the world back
+# and forth with the coordinator at epoch barriers.
 # The failover suite is the sharpest of these: hang latches park shard
 # threads mid-slice, the wall-clock watchdog releases them from another
 # thread, and supervised kills tear worlds down between slices — exactly
@@ -145,6 +151,16 @@ if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
   compare BENCH_crypto.json record_crypto
   compare BENCH_engine.json record_engine
   compare BENCH_server.json record_server
+
+  echo "== repository benchmark self-test (sockbench) =="
+  # Exit 3 means no loopback TCP: skip visibly, like the socket smoke.
+  SOCKBENCH_RC=0
+  python3 sockbench/run.py --self-test || SOCKBENCH_RC=$?
+  if [[ "${SOCKBENCH_RC}" -eq 3 ]]; then
+    echo "SKIP: sockbench self-test needs loopback sockets, unavailable here"
+  elif [[ "${SOCKBENCH_RC}" -ne 0 ]]; then
+    exit "${SOCKBENCH_RC}"
+  fi
 fi
 
 echo "== OK: all configurations green =="

@@ -5,8 +5,10 @@
 // crypto inner loops are allocation-free, the remaining lever on a
 // multi-core appliance is running independent flows in parallel. The
 // pipeline shards packets across a persistent worker pool by security
-// association: worker = sa_id % num_workers. SA affinity gives two
-// properties for free:
+// association: worker = sa_id % num_workers. At one worker there is no
+// pool: run_batch runs the one share on the caller's thread, with no
+// thread, lock or hand-off on the path. SA affinity gives two properties
+// for free:
 //
 //   * per-SA packet order is preserved, so anti-replay windows and
 //     sequence state evolve exactly as they would single-threaded;
@@ -61,7 +63,9 @@ struct WorkerStats {
 
 class PacketPipeline {
  public:
-  /// Spawns `num_workers` persistent threads. `rng_seed` roots the per-SA
+  /// Spawns `num_workers` persistent threads when `num_workers` > 1; a
+  /// one-worker (or zero, read as one) pipeline spawns none and runs each
+  /// batch on the caller's thread. `rng_seed` roots the per-SA
   /// deterministic IV/nonce generators (seed ^ sa_id), so a pipeline's
   /// outputs depend on (seed, SAs, jobs) but not on the worker count.
   PacketPipeline(EngineProfile profile, std::size_t num_workers,
@@ -98,7 +102,7 @@ class PacketPipeline {
   /// same worker.
   std::vector<PipelineResult> run_batch(const std::vector<PipelineJob>& jobs);
 
-  std::size_t num_workers() const { return workers_.size(); }
+  std::size_t num_workers() const { return stats_.size(); }
   const std::vector<WorkerStats>& stats() const { return stats_; }
 
   /// Which crypto backend the workers' inner loops dispatch to (the
@@ -108,10 +112,11 @@ class PacketPipeline {
   static std::string crypto_backend();
 
   /// Chaos hook: make worker `index` sleep `ns_per_batch` wall-clock
-  /// nanoseconds at the start of every batch (0 clears it). A stalled
-  /// worker slows the batch barrier down but MUST NOT change any result
-  /// byte — the chaos soak asserts that. Safe to call while batches run
-  /// (the value is atomic); out-of-range indices are ignored.
+  /// nanoseconds at the start of every batch (0 clears it; at one worker
+  /// the sleep is on the caller's thread). A stalled worker slows the
+  /// batch barrier down but MUST NOT change any result byte — the chaos
+  /// soak asserts that. Safe to call while batches run (the value is
+  /// atomic); out-of-range indices are ignored.
   void inject_worker_stall(std::size_t index, std::uint64_t ns_per_batch);
 
  private:
@@ -121,15 +126,19 @@ class PacketPipeline {
   };
 
   void worker_main(std::size_t index);
+  /// Worker `index`'s share of a batch: its SAs' jobs, in batch order.
+  /// Called by worker thread `index`, or by run_batch at one worker.
+  void run_share(std::size_t index, const std::vector<PipelineJob>& jobs,
+                 std::vector<PipelineResult>& results);
 
   ProtocolEngine engine_;
   crypto::HmacDrbg engine_rng_;  // only feeds the rng-less run() overload
   std::uint64_t rng_seed_;
   std::map<std::uint32_t, SaState> sas_;
 
-  // Batch handoff state, guarded by mu_. Workers wake on a new epoch,
-  // process their share of the current batch, and the last one out
-  // signals completion.
+  // Batch handoff state (multi-worker only), guarded by mu_. Workers
+  // wake on a new epoch, process their share of the current batch, and
+  // the last one out signals completion.
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
@@ -139,9 +148,9 @@ class PacketPipeline {
   const std::vector<PipelineJob>* jobs_ = nullptr;
   std::vector<PipelineResult>* results_ = nullptr;
 
-  std::vector<WorkerStats> stats_;
+  std::vector<WorkerStats> stats_;  // one per worker: the worker count
   std::unique_ptr<std::atomic<std::uint64_t>[]> stall_ns_;  // per worker
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // empty at one worker
 };
 
 }  // namespace mapsec::engine

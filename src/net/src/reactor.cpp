@@ -103,7 +103,7 @@ std::size_t Reactor::poll(SimTime max_wait_us) {
     wait_us = std::min(wait_us, until_timer);
   }
   // Sleep to the microsecond the queue asks for: epoll_pwait2 takes a
-  // timespec, so a 500 us flush timer waits 500 us instead of a whole
+  // timespec, so a 500 us timer waits 500 us instead of a whole
   // rounded-up millisecond. A zero wait polls without blocking.
   wait_us = std::min<SimTime>(wait_us, 60'000'000);
   const timespec timeout{static_cast<time_t>(wait_us / 1'000'000),
@@ -135,6 +135,9 @@ std::size_t Reactor::poll(SimTime max_wait_us) {
     }
   }
 
+  // The whole ready set is dispatched before the queue runs, so a 0-delay
+  // event a handler queued (the server's pipeline flush) sees every frame
+  // this turn read, and what it sends leaves in this turn's flush.
   drain_posted();
   queue_.run_until(clock_.now_us());
   flush_deferred();

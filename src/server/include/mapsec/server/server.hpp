@@ -14,7 +14,9 @@
 //     data beyond it is deferred, never dropped,
 //   * a bulk echo path through the PacketPipeline — record protection
 //     (AES-CCM via the ccmp programs) shards across workers by
-//     connection, bit-identical for any worker count,
+//     connection, bit-identical for any worker count. Echoes are sealed
+//     in the instant they arrive: the flush runs once the instant's
+//     other work is done, with no timer in between,
 //   * graceful close, and per-server counters plus a simulated-time
 //     handshake-latency histogram,
 //   * retirement: a finished connection releases its handshake state and
@@ -23,8 +25,9 @@
 //     ever accepted.
 //
 // Single-threaded by design: every callback runs on the EventQueue, and
-// the only parallelism is inside PacketPipeline::run_batch — which is
-// deterministic — so a whole serving run is a pure function of its seeds.
+// the only parallelism is inside PacketPipeline::run_batch with more than
+// one worker — which is deterministic — so a whole serving run is a pure
+// function of its seeds.
 #pragma once
 
 #include <cstdint>
@@ -85,9 +88,9 @@ struct ServerConfig {
   std::size_t degraded_low_watermark = 0;
 
   /// Bulk jobs accumulate across connections and flush through the
-  /// pipeline this long after the first pending job.
-  net::SimTime pipeline_flush_interval_us = 500;
-
+  /// pipeline once the current instant's other work is done (see
+  /// schedule_flush). At one worker the batch runs on the event loop's
+  /// own thread.
   std::size_t pipeline_workers = 1;
   std::uint64_t pipeline_seed = 0xC0FFEE;
   engine::EngineProfile engine_profile;

@@ -532,8 +532,12 @@ void SecureSessionServer::process_appdata(Connection& conn,
 void SecureSessionServer::schedule_flush() {
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
-  queue_.schedule_in(config_.pipeline_flush_interval_us,
-                     [this] { flush_pipeline(); });
+  // A 0-delay event runs after everything already due at this instant:
+  // in the sim, every same-instant delivery (FIFO ties); under a Reactor,
+  // the whole epoll ready set, which is dispatched before the queue runs.
+  // So one flush seals the instant's echoes as one batch, and the batch
+  // widens by itself under load.
+  queue_.schedule_in(0, [this] { flush_pipeline(); });
 }
 
 void SecureSessionServer::flush_pipeline() {
@@ -541,7 +545,7 @@ void SecureSessionServer::flush_pipeline() {
 
   // Gather pending echoes in connection-id order: the job sequence — and
   // therefore each SA's nonce stream — is independent of arrival
-  // interleaving within the flush window and of the worker count. Only
+  // interleaving within the instant and of the worker count. Only
   // the connections holding an echo are visited, never the whole table.
   std::vector<std::uint32_t> ids;
   ids.swap(echo_ids_);
@@ -586,7 +590,7 @@ void SecureSessionServer::flush_pipeline() {
   }
 
   // Queues drained: admit deferred application data, in id order (may
-  // re-arm the flush timer).
+  // schedule another flush at this same instant).
   ids.clear();
   ids.swap(deferred_ids_);
   std::sort(ids.begin(), ids.end());

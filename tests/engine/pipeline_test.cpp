@@ -3,6 +3,9 @@
 // and final anti-replay state are compared across worker counts.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <map>
 
 #include "mapsec/engine/packet_pipeline.hpp"
@@ -142,6 +145,52 @@ TEST(PipelineTest, StatsAccountForEveryPacket) {
   double result_cycles = 0;
   for (const auto& r : results) result_cycles += r.engine_cycles;
   EXPECT_DOUBLE_EQ(cycles, result_cycles);
+}
+
+std::ptrdiff_t thread_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+// At one worker the batch runs on the caller's thread: building the
+// pipeline starts no thread (three workers start three), an injected
+// stall delays run_batch itself, and the results and worker books match
+// an unstalled run.
+TEST(PipelineTest, OneWorkerSpawnsNoThread) {
+  // A sanitizer runtime may start a helper thread of its own at the
+  // process's first thread creation; count from after that.
+  make_pipeline(2).reset();
+  const std::ptrdiff_t before = thread_count();
+  {
+    auto three = make_pipeline(3);
+    EXPECT_EQ(thread_count(), before + 3);
+  }
+  auto plain = make_pipeline(1);
+  auto stalled = make_pipeline(1);
+  EXPECT_EQ(thread_count(), before);
+  ASSERT_EQ(stalled->num_workers(), 1u);
+
+  constexpr std::chrono::milliseconds kStall{20};
+  stalled->inject_worker_stall(
+      0, std::chrono::nanoseconds(kStall).count());
+  const auto jobs = outbound_jobs();
+  const auto start = std::chrono::steady_clock::now();
+  const auto slow = stalled->run_batch(jobs);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kStall);
+  const auto fast = plain->run_batch(jobs);
+
+  ASSERT_EQ(slow.size(), fast.size());
+  for (std::size_t i = 0; i < slow.size(); ++i) {
+    EXPECT_TRUE(slow[i].accepted) << slow[i].drop_reason;
+    EXPECT_EQ(slow[i].header, fast[i].header);
+    EXPECT_EQ(slow[i].payload, fast[i].payload);
+    EXPECT_EQ(slow[i].engine_cycles, fast[i].engine_cycles);
+  }
+  const WorkerStats& st = stalled->stats().at(0);
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.packets, jobs.size());
+  EXPECT_EQ(st.engine_cycles, plain->stats().at(0).engine_cycles);
+  EXPECT_GT(st.busy_ns, 0u);
 }
 
 TEST(PipelineTest, UnknownSaIsDroppedNotFatal) {

@@ -341,7 +341,7 @@ TEST_F(ServerTest, BackpressureDefersInsteadOfDropping) {
   ClientConfig client = client_config();
   client.payloads_per_session = 8;
   client.payload_bytes = 256;
-  client.think_time_us = 0;  // burst: all payloads in one flush window
+  client.think_time_us = 0;  // burst: all payloads in one instant
 
   ServerConfig server = server_config();
   server.max_pending_echo_bytes = 300;  // < two payloads
@@ -354,6 +354,54 @@ TEST_F(ServerTest, BackpressureDefersInsteadOfDropping) {
   EXPECT_GT(report.server.backpressure_deferrals, 0u);
   EXPECT_EQ(report.server.bytes_opened, 2u * 8u * 256u);
   EXPECT_EQ(report.server.bytes_sealed, 2u * 8u * 256u);
+}
+
+// The echo is sealed in the instant its record arrives, not after a
+// flush timer: over a fixed-latency channel with no jitter, the client
+// gets its echo back exactly one round trip after sending the record.
+TEST_F(ServerTest, EchoIsSealedInTheInstantItArrives) {
+  constexpr net::SimTime kLatency = 2'000;
+  net::EventQueue queue;
+  net::ChannelConfig fixed;
+  fixed.latency_us = kLatency;
+  // Declared before the server and the client link, which detach from
+  // it when they are destroyed.
+  net::DuplexChannel channel(queue, fixed, fixed, 0xEC40);
+  crypto::HmacDrbg server_rng(0xEC40);
+  ServerConfig config = server_config();
+  config.handshake.rng = &server_rng;
+  SecureSessionServer server(queue, config, nullptr);
+  server.accept(channel.b_to_a(), channel.a_to_b());
+  net::ReliableLink link(queue, channel.a_to_b(), channel.b_to_a(), {});
+
+  crypto::HmacDrbg client_rng(0xEC41);
+  protocol::HandshakeConfig handshake = client_config().handshake;
+  handshake.rng = &client_rng;
+  protocol::TlsClient tls(handshake);
+  const Bytes payload(64, 0x5A);
+  net::SimTime sent_at = 0;
+  net::SimTime echoed_at = 0;
+  link.set_on_message([&](crypto::ConstBytes msg) {
+    const auto kind = static_cast<MsgKind>(msg[0]);
+    if (kind == MsgKind::kBulk && echoed_at == 0) echoed_at = queue.now();
+    if (kind != MsgKind::kHandshake || tls.established()) return;
+    const protocol::HandshakeStep step =
+        protocol::step_handshake(tls, msg.subspan(1));
+    if (!step.output.empty())
+      link.send_message(make_msg(MsgKind::kHandshake, step.output));
+    if (step.established) {
+      sent_at = queue.now();
+      link.send_message(make_msg(MsgKind::kAppData, tls.send_data(payload)));
+    }
+  });
+  link.send_message(
+      make_msg(MsgKind::kHandshake, protocol::step_handshake(tls, {}).output));
+  queue.run_until(1'000'000);
+
+  ASSERT_TRUE(tls.established());
+  ASSERT_NE(echoed_at, 0u);
+  EXPECT_EQ(echoed_at - sent_at, 2 * kLatency);
+  EXPECT_EQ(server.stats().bulk_messages, 1u);
 }
 
 TEST_F(ServerTest, IdleTimeoutReapsLingeringClients) {
