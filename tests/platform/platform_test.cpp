@@ -465,5 +465,189 @@ TEST(AccelTest, ShardedServingGapSplitsLoadAndChargesBarrierTax) {
   EXPECT_LT(coarse.per_shard_required_mips, four.per_shard_required_mips);
 }
 
+
+// ---- serving-gap golden pins ------------------------------------------------
+//
+// Every field each pricing report carries, on two fixed served loads: a
+// resumption-heavy bulk load (A) and a handshake-bound fleet (B). Values
+// are pinned to 1e-12 relative, so a refactor of the pricing arithmetic
+// that moves any output by more than rounding fails here.
+
+ServedLoad golden_load(int which) {
+  ServedLoad l;
+  if (which == 0) {
+    l.full_handshakes_per_s = 2;
+    l.resumed_handshakes_per_s = 6;
+    l.bulk_mbps = 4;
+    l.sessions_per_s = 8;
+    l.avg_session_kb = 64;
+  } else {
+    l.full_handshakes_per_s = 40;
+    l.resumed_handshakes_per_s = 120;
+    l.bulk_mbps = 2;
+    l.sessions_per_s = 160;
+    l.avg_session_kb = 4;
+  }
+  return l;
+}
+
+void expect_pinned(double actual, double golden, const char* field) {
+  const double tol = golden == 0 ? 1e-12 : std::abs(golden) * 1e-12;
+  EXPECT_NEAR(actual, golden, tol) << field;
+}
+
+/// The host-plane fields, in ServingGapReport order.
+struct HostPins {
+  double handshake_mips, bulk_mips, required_mips, available_mips, gap_ratio,
+      session_mj, sessions_per_charge;
+};
+
+void expect_host(const ServingGapReport& r, const HostPins& g) {
+  expect_pinned(r.handshake_mips, g.handshake_mips, "handshake_mips");
+  expect_pinned(r.bulk_mips, g.bulk_mips, "bulk_mips");
+  expect_pinned(r.required_mips, g.required_mips, "required_mips");
+  expect_pinned(r.available_mips, g.available_mips, "available_mips");
+  expect_pinned(r.gap_ratio, g.gap_ratio, "gap_ratio");
+  expect_pinned(r.session_mj, g.session_mj, "session_mj");
+  expect_pinned(r.sessions_per_charge, g.sessions_per_charge,
+                "sessions_per_charge");
+}
+
+constexpr HostPins kSoftware[2] = {
+    {112, 260.51999999999998, 372.51999999999998, 235, 1.5851914893617021,
+     81.84969164799999, 317655.44226867362},
+    {2240, 130.25999999999999, 2370.2600000000002, 235, 10.086212765957448,
+     27.428105728000002, 947932.76130104309}};
+// Offloaded pk: the host sheds the handshake term; the pk energy is
+// billed at the accelerator's 10x efficiency.
+constexpr HostPins kOffloadHost[2] = {
+    {0, 260.51999999999998, 260.51999999999998, 235, 1.108595744680851,
+     60.429691647999995, 430252.07130707748},
+    {0, 130.25999999999999, 130.25999999999999, 235, 0.55429787234042549,
+     6.0081057279999994, 4327487.0944481492}};
+
+TEST(ServingGapGolden, Software) {
+  const auto model = WorkloadModel::paper_calibrated();
+  for (int i = 0; i < 2; ++i)
+    expect_host(serving_gap(model, Processor::strongarm_sa1100(),
+                            golden_load(i)),
+                kSoftware[i]);
+}
+
+TEST(ServingGapGolden, IsaDispatch) {
+  constexpr HostPins kIsa[2] = {
+      {101.81818181818181, 46.920000000000002, 148.73818181818183, 235,
+       0.63292843326885884, 16.369938329599997, 1588277.2113433683},
+      {2036.3636363636363, 23.460000000000001, 2059.8236363636361, 235,
+       8.7652069632495149, 5.4856211456000006, 4739663.8065052154}};
+  const auto model = WorkloadModel::paper_calibrated();
+  for (int i = 0; i < 2; ++i)
+    expect_host(serving_gap(model, AccelProfile::isa_dispatch(),
+                            Processor::strongarm_sa1100(), golden_load(i)),
+                kIsa[i]);
+}
+
+TEST(ServingGapGolden, Offloaded) {
+  const auto model = WorkloadModel::paper_calibrated();
+  for (int i = 0; i < 2; ++i) {
+    const OffloadGapReport r = serving_gap_offloaded(
+        model, Processor::strongarm_sa1100(), golden_load(i), 2, 0.004);
+    expect_host(r.host, kOffloadHost[i]);
+    expect_pinned(r.pk_ops_per_s, i == 0 ? 2 : 40, "pk_ops_per_s");
+    expect_pinned(r.lane_service_s, 0.004, "lane_service_s");
+    expect_pinned(r.lanes, 2, "lanes");
+    expect_pinned(r.lane_utilisation, i == 0 ? 0.004 : 0.08,
+                  "lane_utilisation");
+    expect_pinned(r.min_lanes, 1, "min_lanes");
+  }
+}
+
+TEST(ServingGapGolden, Batched) {
+  const auto model = WorkloadModel::paper_calibrated();
+  for (int i = 0; i < 2; ++i) {
+    const BatchedGapReport r = serving_gap_batched(
+        model, Processor::strongarm_sa1100(), golden_load(i), 2, 0.004, 4,
+        0.3);
+    expect_host(r.offload.host, kOffloadHost[i]);
+    expect_pinned(r.offload.lane_utilisation, i == 0 ? 0.004 : 0.08,
+                  "offload.lane_utilisation");
+    expect_pinned(r.offload.min_lanes, 1, "offload.min_lanes");
+    expect_pinned(r.batch_width, 4, "batch_width");
+    expect_pinned(r.batch_marginal, 0.3, "batch_marginal");
+    expect_pinned(r.effective_op_s, 0.0019, "effective_op_s");
+    expect_pinned(r.batched_utilisation, i == 0 ? 0.0019 : 0.038,
+                  "batched_utilisation");
+    expect_pinned(r.throughput_gain, 2.1052631578947367, "throughput_gain");
+    expect_pinned(r.min_lanes, 1, "min_lanes");
+  }
+}
+
+TEST(ServingGapGolden, Ticket) {
+  // The ticket tier adds the CCM open/seal MIPS to the host plane.
+  constexpr HostPins kTicket[2] = {
+      {112, 260.51999999999998, 372.60064, 235, 1.5855346382978723,
+       81.84969164799999, 317655.44226867362},
+      {2240, 130.25999999999999, 2371.8728000000001, 235, 10.093075744680851,
+       27.428105728000002, 947932.76130104309}};
+  const auto model = WorkloadModel::paper_calibrated();
+  for (int i = 0; i < 2; ++i) {
+    const TicketGapReport r = serving_gap_ticket(
+        model, Processor::strongarm_sa1100(), golden_load(i), 512, 20'000);
+    expect_host(r.host, kTicket[i]);
+    expect_pinned(r.ticket_open_mips, i == 0 ? 0.06912 : 1.3824,
+                  "ticket_open_mips");
+    expect_pinned(r.ticket_seal_mips, i == 0 ? 0.01152 : 0.2304,
+                  "ticket_seal_mips");
+    expect_pinned(r.server_state_bytes, 512, "server_state_bytes");
+    expect_pinned(r.cache_state_bytes, 20'000, "cache_state_bytes");
+    expect_pinned(r.state_ratio, 39.0625, "state_ratio");
+  }
+}
+
+TEST(ServingGapGolden, Sharded) {
+  const auto model = WorkloadModel::paper_calibrated();
+  for (int i = 0; i < 2; ++i) {
+    const ShardedGapReport r = serving_gap_sharded(
+        model, Processor::strongarm_sa1100(), golden_load(i), 4, 1'000);
+    expect_host(r.fleet, kSoftware[i]);
+    expect_pinned(r.shards, 4, "shards");
+    expect_pinned(r.merge_overhead_mips, 2, "merge_overhead_mips");
+    expect_pinned(r.per_shard_required_mips,
+                  i == 0 ? 95.129999999999995 : 594.56500000000005,
+                  "per_shard_required_mips");
+    expect_pinned(r.shard_utilisation,
+                  i == 0 ? 0.40480851063829787 : 2.5300638297872342,
+                  "shard_utilisation");
+    expect_pinned(r.min_shards, i == 0 ? 2 : 11, "min_shards");
+  }
+}
+
+TEST(ServingGapGolden, Failover) {
+  const auto model = WorkloadModel::paper_calibrated();
+  for (int i = 0; i < 2; ++i) {
+    const FailoverGapReport r = serving_gap_failover(
+        model, Processor::strongarm_sa1100(), golden_load(i), 4, 1'000,
+        /*reconnect_sessions=*/150, /*blackout_s=*/0.25);
+    expect_host(r.steady.fleet, kSoftware[i]);
+    expect_pinned(r.steady.per_shard_required_mips,
+                  i == 0 ? 95.129999999999995 : 594.56500000000005,
+                  "steady.per_shard_required_mips");
+    expect_pinned(r.surviving_shards, 3, "surviving_shards");
+    expect_pinned(r.degraded_required_mips,
+                  i == 0 ? 127.37333333333333 : 793.28666666666675,
+                  "degraded_required_mips");
+    expect_pinned(r.degraded_utilisation,
+                  i == 0 ? 0.54201418439716309 : 3.3756879432624118,
+                  "degraded_utilisation");
+    expect_pinned(r.blackout_s, 0.25, "blackout_s");
+    expect_pinned(r.reconnect_sessions, 150, "reconnect_sessions");
+    expect_pinned(r.burst_mips, 3.6, "burst_mips");
+    expect_pinned(r.crash_energy_mj, 1.53, "crash_energy_mj");
+    expect_pinned(r.crash_energy_full_mj, 14'280, "crash_energy_full_mj");
+    expect_pinned(r.ticket_saving_ratio, 9333.3333333333339,
+                  "ticket_saving_ratio");
+  }
+}
+
 }  // namespace
 }  // namespace mapsec::platform
