@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "mapsec/crypto/bytes.hpp"
 #include "mapsec/server/socket_fleet.hpp"
 #include "server_pki.hpp"
 
@@ -39,17 +40,6 @@ std::vector<std::uint16_t> parse_ports(const std::string& csv) {
     pos = comma + 1;
   }
   return ports;
-}
-
-std::string to_hex(const crypto::Bytes& bytes) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (std::uint8_t b : bytes) {
-    out += digits[b >> 4];
-    out += digits[b & 0xF];
-  }
-  return out;
 }
 
 }  // namespace
@@ -106,7 +96,7 @@ int main(int argc, char** argv) {
   const server::SocketClientReport r = fleet.run();
 
   std::string digests;
-  for (const crypto::Bytes& d : r.client_digests) digests += to_hex(d);
+  for (const crypto::Bytes& d : r.client_digests) digests += crypto::to_hex(d);
   std::printf("sessions_attempted=%zu\n", r.sessions_attempted);
   std::printf("sessions_completed=%zu\n", r.sessions_completed);
   std::printf("sessions_failed=%zu\n", r.sessions_failed);

@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
   load_cfg.num_clients = 25;
   load_cfg.channel.loss_rate = 0.05;
   load_cfg.channel.reorder_rate = 0.10;
-  load_cfg.appliance = platform::Processor::strongarm_sa1100();
 
   server::LoadGenerator gen(load_cfg, server_cfg, client_cfg,
                             {.capacity = 64, .ttl_us = 60'000'000});
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.server.bulk_messages),
               r.fleet_digest[0], r.fleet_digest[1]);
   std::printf("\npriced against %s:\n",
-              load_cfg.appliance.name.c_str());
+              platform::Processor::strongarm_sa1100().name.c_str());
   std::printf("  required %.1f MIPS vs %.0f available -> gap ratio "
               "%.2f\n",
               r.gap.required_mips, r.gap.available_mips, r.gap.gap_ratio);

@@ -80,201 +80,93 @@ struct ServedLoad {
   double sessions_per_s = 0;
 };
 
-/// How a processor's MIPS and energy budget fare against a served load.
+/// How a served load is carried: the host's crypto tier, public-key
+/// offload lanes, stateless tickets and the sharded tier. The default is
+/// the paper's base appliance: one software core, pk ops inline, a
+/// session cache.
+struct ServingTier {
+  /// Host crypto tier (e.g. AccelProfile::isa_dispatch()). MIPS demand
+  /// is priced on the accelerated cost table; the session energy is the
+  /// unaccelerated bill divided by the tier's energy_efficiency.
+  AccelProfile accel = AccelProfile::software();
+
+  /// Public-key offload: with lanes > 0 the full-handshake pk ops leave
+  /// the host for `lanes` accelerator lanes of `lane_op_s` seconds per op
+  /// (engine::OffloadEngine), each draining windows of up to
+  /// `batch_width` jobs that cost lane_op_s * (1 + (width - 1) *
+  /// batch_marginal) per window (engine::OffloadCosts). Width 1 is plain
+  /// offload.
+  std::size_t lanes = 0;
+  double lane_op_s = 0;
+  std::size_t batch_width = 1;
+  double batch_marginal = 0.3;
+
+  /// Stateless tickets: each resumed handshake opens and re-seals a
+  /// ticket, each full handshake seals one (AES-CCM over the blob).
+  bool tickets = false;
+
+  /// Sharded tier: `shards` cores behind a uniform connection hash with
+  /// an epoch-barrier merge every `slice_us` simulated microseconds.
+  /// 0 = one event loop, no barrier.
+  std::size_t shards = 0;
+  double slice_us = 1'000;
+
+  /// Failover burst (shards >= 1): when one shard dies, its
+  /// `reconnect_sessions` re-establish on the survivors by ticket within
+  /// `blackout_s` seconds.
+  double reconnect_sessions = 0;
+  double blackout_s = 0;
+};
+
+/// How a processor's MIPS and energy budget fare against a served load,
+/// carried by one ServingTier. Fields of a tier feature the tier does not
+/// use stay zero.
 struct ServingGapReport {
-  double handshake_mips = 0;  // RSA set-up cost of the handshake rate
+  // Host plane.
+  double handshake_mips = 0;  // RSA set-up cost (0 when offloaded)
   double bulk_mips = 0;       // bulk protection cost of the data rate
+  double ticket_open_mips = 0;  // CCM opens + re-seals, resumed rate
+  double ticket_seal_mips = 0;  // NewSessionTicket seals, full rate
   double required_mips = 0;
   double available_mips = 0;
   double gap_ratio = 0;  // required / available; > 1 means infeasible
   double session_mj = 0;  // processing energy per average session
   double sessions_per_charge = 0;
+
+  // Offload lanes (lanes > 0): each lane is a fixed-rate server;
+  // lane_utilisation > 1 means the full-handshake rate outruns it.
+  double effective_op_s = 0;     // per-op lane seconds at full windows
+  double lane_utilisation = 0;   // full rate * effective_op_s / lanes
+  double throughput_gain = 0;    // lane_op_s / effective_op_s (>= 1)
+  double min_lanes = 0;          // smallest feasible lane count
+
+  // Sharded tier (shards >= 1), against ONE core of the processor.
+  double merge_overhead_mips = 0;      // per-core barrier cost
+  double per_shard_required_mips = 0;  // required / shards + merge
+  double shard_utilisation = 0;        // per-shard demand / core MIPS
+  /// Smallest shard count whose per-core demand fits one core; 0 when the
+  /// merge overhead alone exceeds the core.
+  double min_shards = 0;
+
+  // One shard lost (shards >= 1): its 1/N of the demand and the
+  // resumption burst land on the N - 1 survivors.
+  double degraded_required_mips = 0;
+  double degraded_utilisation = 0;  // vs one core's MIPS
+  double burst_mips = 0;            // whole burst over blackout_s
+  double crash_energy_mj = 0;       // burst as ticket resumptions
+  double crash_energy_full_mj = 0;  // counterfactual: full RSA handshakes
+  double ticket_saving_ratio = 0;   // full / ticket energy
 };
 
-/// Price a served load against `proc`, tying the measured serving rates
-/// back to the Figure 3 gap (MIPS) and the Figure 4 battery argument
-/// (sessions per `battery_kj` charge). Resumed handshakes are priced at
-/// zero public-key cost — that saving is exactly why resumption matters
-/// on an appliance budget.
+/// Price a served load carried by `tier` against `proc`: the measured
+/// serving rates tied back to the Figure 3 gap (MIPS) and the Figure 4
+/// battery argument (sessions per 26 kJ charge), for the paper's
+/// reference protocol (RSA-1024 set-up, 3DES/SHA-1 bulk). Resumed
+/// handshakes cost no public-key op — that saving is exactly why
+/// resumption matters on an appliance budget.
 ServingGapReport serving_gap(const WorkloadModel& model,
                              const Processor& proc, const ServedLoad& load,
-                             double battery_kj = 26.0,
-                             Primitive pk = Primitive::kRsa1024Private,
-                             Primitive cipher = Primitive::kDes3,
-                             Primitive mac = Primitive::kSha1);
-
-/// The accelerated-appliance variant: the same served load priced on a
-/// processor equipped with `accel` (e.g. AccelProfile::isa_dispatch()
-/// calibrated from crypto::dispatch's measured kernels). MIPS demand is
-/// computed from the accelerated cost table; session energy is the
-/// unaccelerated instruction bill divided by the tier's energy
-/// efficiency. The gap-ratio delta against the base overload is the
-/// Figure 3 gap the acceleration closes.
-ServingGapReport serving_gap(const WorkloadModel& model,
-                             const AccelProfile& accel, const Processor& proc,
-                             const ServedLoad& load, double battery_kj = 26.0,
-                             Primitive pk = Primitive::kRsa1024Private,
-                             Primitive cipher = Primitive::kDes3,
-                             Primitive mac = Primitive::kSha1);
-
-/// Offload-tier pricing — Section 4.2's crypto-accelerator argument made
-/// concrete against a measured load. Full-handshake public-key operations
-/// leave the host entirely (engine::OffloadEngine lanes), so the host
-/// plane only carries the bulk/record work; each accelerator lane is a
-/// fixed-rate server spending `lane_service_s` seconds per op. The host
-/// gap therefore drops by exactly the handshake MIPS term, and the new
-/// feasibility question becomes lane occupancy: `lane_utilisation` > 1
-/// means the offered full-handshake rate outruns the accelerator and the
-/// backlog grows without bound (the OffloadEngine's queue_wait_us stat is
-/// the measured witness of the same quantity).
-struct OffloadGapReport {
-  /// Serving gap with the public-key work removed from the host plane.
-  ServingGapReport host;
-  double pk_ops_per_s = 0;      // offered full-handshake rate
-  double lane_service_s = 0;    // modeled seconds per pk op on one lane
-  double lanes = 0;
-  double lane_utilisation = 0;  // pk_ops_per_s * lane_service_s / lanes
-  double min_lanes = 0;         // smallest lane count with utilisation <= 1
-};
-
-/// Price a served load with public-key work offloaded to `lanes`
-/// accelerator lanes of `lane_op_s` seconds per op (e.g.
-/// engine::OffloadCosts::rsa_decrypt_us / 1e6). Offloaded pk energy is
-/// billed at `accel_energy_efficiency` times the host's
-/// joules-per-instruction (the paper's order-of-magnitude accelerator
-/// efficiency claim; AccelProfile::crypto_accelerator().energy_efficiency
-/// is the calibrated default).
-OffloadGapReport serving_gap_offloaded(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    std::size_t lanes, double lane_op_s, double accel_energy_efficiency = 10.0,
-    double battery_kj = 26.0, Primitive pk = Primitive::kRsa1024Private,
-    Primitive cipher = Primitive::kDes3, Primitive mac = Primitive::kSha1);
-
-/// Batched-lane pricing — the batched data plane's model-level payoff.
-/// With windows of up to `batch_width` jobs per lane service slot, a full
-/// window costs lane_op_s * (1 + (batch_width - 1) * batch_marginal)
-/// seconds (engine::OffloadCosts::batch_marginal), so the effective
-/// per-op service time falls toward batch_marginal * lane_op_s and lane
-/// utilisation drops by the same factor at an unchanged offered rate.
-struct BatchedGapReport {
-  OffloadGapReport offload;     // width-1 pricing, same lanes (baseline)
-  double batch_width = 1;
-  double batch_marginal = 0;
-  double effective_op_s = 0;    // per-op lane seconds at full windows
-  double batched_utilisation = 0;  // pk_ops_per_s * effective_op_s / lanes
-  double throughput_gain = 1;   // lane_op_s / effective_op_s (>= 1)
-  double min_lanes = 0;         // smallest lane count feasible at this width
-};
-
-/// Price a served load on lanes that drain `batch_width`-deep windows.
-/// batch_width <= 1 collapses to serving_gap_offloaded exactly.
-BatchedGapReport serving_gap_batched(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    std::size_t lanes, double lane_op_s, std::size_t batch_width,
-    double batch_marginal = 0.3, double accel_energy_efficiency = 10.0,
-    double battery_kj = 26.0, Primitive pk = Primitive::kRsa1024Private,
-    Primitive cipher = Primitive::kDes3, Primitive mac = Primitive::kSha1);
-
-/// Stateless-ticket-tier pricing — the memory half of the serving story.
-/// A session cache's resumption state grows O(cached users) (and its
-/// eviction thrash converts would-be resumptions back into full RSA
-/// handshakes); a ticket server pins only its key ring, O(ring depth),
-/// and pays per resumption one extra AES-CCM ticket open (two AES passes
-/// over the blob: CBC-MAC + CTR). This report prices that trade against
-/// a served load so the bench can assert the flat-line: MIPS demand and
-/// sessions-per-charge independent of the cached-user count.
-struct TicketGapReport {
-  /// Serving gap with the ticket-open cost added to the host plane.
-  ServingGapReport host;
-  double ticket_open_mips = 0;  ///< CCM opens for the resumed-handshake rate
-  double ticket_seal_mips = 0;  ///< NewSessionTicket seals (per completion)
-  double server_state_bytes = 0;  ///< key ring: O(depth)
-  double cache_state_bytes = 0;   ///< cache equivalent: O(cached users)
-  /// cache / ticket state; the ratio the 10k->1M sweep shows exploding.
-  double state_ratio = 0;
-};
-
-/// Price a served load on a ticket-mode server. `ring_state_bytes` /
-/// `cache_state_bytes` come from the run (TicketKeyRing::state_bytes(),
-/// BoundedSessionCache::resumption_state_bytes() or its projection at
-/// `cached_users`); `ticket_wire_bytes` is the sealed blob size. Resumed
-/// handshakes are priced at the ticket-open cost instead of free; full
-/// handshakes additionally seal a fresh ticket.
-TicketGapReport serving_gap_ticket(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    double ring_state_bytes, double cache_state_bytes,
-    double ticket_wire_bytes = 96.0, double battery_kj = 26.0,
-    Primitive pk = Primitive::kRsa1024Private,
-    Primitive cipher = Primitive::kDes3, Primitive mac = Primitive::kSha1);
-
-/// Sharded-tier pricing — the serving-side answer to the same gap: when
-/// one core cannot carry the fleet's session-layer demand, how many
-/// shard cores close it? The fleet demand is the ordinary serving gap;
-/// a uniform connection hash splits it across `shards` cores, and each
-/// core additionally pays the epoch-barrier merge (one snapshot exchange
-/// per slice, priced in instructions). min_shards inverts the model:
-/// the smallest shard count whose per-core demand fits the processor —
-/// the provisioning number E24 validates against the measured sweep.
-struct ShardedGapReport {
-  /// Fleet demand vs ONE core of `proc` (gap_ratio > 1 = one core short).
-  ServingGapReport fleet;
-  double shards = 1;
-  double merge_overhead_mips = 0;     ///< per-core barrier cost
-  double per_shard_required_mips = 0; ///< fleet/shards + merge overhead
-  double shard_utilisation = 0;       ///< per-shard demand / core MIPS
-  /// Smallest shard count with per-core demand <= one core's MIPS;
-  /// 0 when the merge overhead alone exceeds the core (no count closes
-  /// the gap).
-  double min_shards = 0;
-};
-
-/// Price a served load on `shards` cores behind a uniform connection
-/// hash with an epoch-barrier merge every `slice_us` simulated
-/// microseconds costing `merge_instr_per_slice` instructions per core
-/// per slice.
-ShardedGapReport serving_gap_sharded(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    std::size_t shards, double slice_us, double merge_instr_per_slice = 2000.0,
-    double battery_kj = 26.0, Primitive pk = Primitive::kRsa1024Private,
-    Primitive cipher = Primitive::kDes3, Primitive mac = Primitive::kSha1);
-
-/// Failover pricing — what one shard's death costs the fleet, in the
-/// paper's own currencies (MIPS and millijoules). During the repair
-/// window the victim's 1/N of the fleet demand lands on the N-1
-/// survivors, plus a resumption burst: every in-flight session of the
-/// dead shard re-establishes on a survivor. With stateless tickets each
-/// re-establishment is one AES-CCM ticket open (symmetric only); the
-/// report also prices the counterfactual burst of FULL handshakes — the
-/// ratio is the battery argument for ticket-based failover at appliance
-/// scale.
-struct FailoverGapReport {
-  /// Steady-state sharded pricing (all shards serving).
-  ShardedGapReport steady;
-  double surviving_shards = 0;
-  /// Per-survivor demand during the outage: fleet/(N-1) + merge tax +
-  /// its share of the resumption burst.
-  double degraded_required_mips = 0;
-  double degraded_utilisation = 0;  ///< vs one core's MIPS
-  double blackout_s = 0;            ///< client-observed re-establish window
-  double reconnect_sessions = 0;    ///< victim sessions that must move
-  double burst_mips = 0;            ///< whole resumption burst over blackout_s
-  double crash_energy_mj = 0;       ///< burst as ticket resumptions
-  double crash_energy_full_mj = 0;  ///< counterfactual: full RSA handshakes
-  double ticket_saving_ratio = 0;   ///< full / ticket energy (>= 1)
-};
-
-/// Price a one-shard outage against a measured load. `reconnect_sessions`
-/// and `blackout_s` come from the run (CampaignReport::client_reconnects,
-/// blackout percentiles); `ticket_open_instr` is the symmetric cost of
-/// one stateless resumption (two AES passes over the ticket blob plus the
-/// abbreviated flight — calibrate from the measured kernels if desired).
-FailoverGapReport serving_gap_failover(
-    const WorkloadModel& model, const Processor& proc, const ServedLoad& load,
-    std::size_t shards, double slice_us, double reconnect_sessions,
-    double blackout_s, double ticket_open_instr = 6'000.0,
-    double merge_instr_per_slice = 2000.0, double battery_kj = 26.0,
-    Primitive pk = Primitive::kRsa1024Private,
-    Primitive cipher = Primitive::kDes3, Primitive mac = Primitive::kSha1);
+                             const ServingTier& tier = {});
 
 /// Projection of the gap over time — Section 3.2's closing argument:
 /// "the increase in data rates ... and the use of stronger cryptographic

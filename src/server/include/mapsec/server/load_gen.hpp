@@ -8,9 +8,9 @@
 // percentiles, cache behaviour, clean-failure accounting, and a
 // fleet-wide transcript digest that must be bit-identical for any
 // PacketPipeline worker count and any shard count. The report is priced
-// against a processor model via platform::serving_gap, closing the loop
-// to Figure 3: how much appliance-class silicon would this measured
-// serving load need?
+// against the paper's StrongARM SA-1100 via platform::serving_gap,
+// closing the loop to Figure 3: how much appliance-class silicon would
+// this measured serving load need?
 //
 // FleetWorld is the one honest-fleet sim world: LoadGenerator runs it
 // bare, chaos::CampaignRunner runs it under a fault plan.
@@ -136,11 +136,6 @@ struct LoadConfig {
   /// barriers every `slice_us` of simulated time.
   std::size_t shards = 0;
   net::SimTime slice_us = 1'000;
-
-  /// Appliance-class processor the served load is priced against.
-  platform::Processor appliance;
-  platform::Primitive pk_primitive = platform::Primitive::kRsa1024Private;
-  double battery_kj = 26.0;  // the paper's Figure 4 battery
 };
 
 struct LoadReport : FleetTally {
@@ -189,13 +184,16 @@ struct LoadReport : FleetTally {
   /// Record-path buffer-pool accounting (socket-bearer runs only).
   ArenaUsage arena;
 
+  /// The served load priced on the StrongARM SA-1100, carried by the
+  /// tier this run used: its shards, ticket mode and pk offload lanes.
   platform::ServingGapReport gap;
-  /// Ticket-tier pricing of the same load (meaningful when the server
-  /// ran in ticket mode; state fields mirror the two lines above).
-  platform::TicketGapReport ticket_gap;
-  /// Barrier-tax pricing of the tier (shards >= 1 only).
-  platform::ShardedGapReport sharded_gap;
 };
+
+/// The serving rates a run's server-side books add up to over
+/// `duration_s` of (simulated) time — what platform::serving_gap prices.
+platform::ServedLoad served_load(const ServerStats& stats,
+                                 std::size_t sessions_completed,
+                                 double duration_s);
 
 /// The honest-fleet sim world: a client fleet, its engines, seeds and
 /// arrival schedule, and one connect path (channel, accept, link),

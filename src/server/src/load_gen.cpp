@@ -236,6 +236,27 @@ net::SimTime FleetWorld::now() const {
 
 // ---- LoadGenerator --------------------------------------------------------
 
+platform::ServedLoad served_load(const ServerStats& stats,
+                                 std::size_t sessions_completed,
+                                 double duration_s) {
+  const double dur = duration_s > 0 ? duration_s : 1;
+  const double protected_bytes =
+      static_cast<double>(stats.bytes_opened + stats.bytes_sealed);
+  platform::ServedLoad served;
+  served.full_handshakes_per_s =
+      static_cast<double>(stats.full_handshakes) / dur;
+  served.resumed_handshakes_per_s =
+      static_cast<double>(stats.resumed_handshakes) / dur;
+  served.sessions_per_s = static_cast<double>(sessions_completed) / dur;
+  served.bulk_mbps = protected_bytes * 8 / 1e6 / dur;
+  served.avg_session_kb =
+      sessions_completed > 0
+          ? protected_bytes / 1024.0 / static_cast<double>(sessions_completed)
+          : 0;
+  return served;
+}
+
+
 LoadReport LoadGenerator::run() {
   FleetWorld world(load_, server_, client_, cache_);
   const ShardedServer::RunStats rs = world.run(load_.max_events);
@@ -261,17 +282,12 @@ LoadReport LoadGenerator::run() {
                                     static_cast<double>(lookups);
 
   report.sim_duration_s = static_cast<double>(world.now()) / 1e6;
-  const double dur = report.sim_duration_s > 0 ? report.sim_duration_s : 1;
-  report.full_handshakes_per_s =
-      static_cast<double>(report.server.full_handshakes) / dur;
-  report.resumed_handshakes_per_s =
-      static_cast<double>(report.server.resumed_handshakes) / dur;
-  report.sessions_per_s =
-      static_cast<double>(report.sessions_completed) / dur;
-  const double protected_bytes =
-      static_cast<double>(report.server.bytes_opened +
-                          report.server.bytes_sealed);
-  report.record_mbps = protected_bytes * 8 / 1e6 / dur;
+  const platform::ServedLoad served = served_load(
+      report.server, report.sessions_completed, report.sim_duration_s);
+  report.full_handshakes_per_s = served.full_handshakes_per_s;
+  report.resumed_handshakes_per_s = served.resumed_handshakes_per_s;
+  report.sessions_per_s = served.sessions_per_s;
+  report.record_mbps = served.bulk_mbps;
   // Percentiles off the fleet's merged histograms: exact aggregation of
   // the shards, read to within one bucket of the sorted sample.
   const ServerStats& s = report.server;
@@ -287,30 +303,17 @@ LoadReport LoadGenerator::run() {
       s.resumed_handshake_latency.percentile(0.99) / 1e3;
   report.crypto_backend = engine::PacketPipeline::crypto_backend();
 
-  platform::ServedLoad served;
-  served.full_handshakes_per_s = report.full_handshakes_per_s;
-  served.resumed_handshakes_per_s = report.resumed_handshakes_per_s;
-  served.bulk_mbps = report.record_mbps;
-  served.sessions_per_s = report.sessions_per_s;
-  served.avg_session_kb =
-      report.sessions_completed > 0
-          ? protected_bytes / 1024.0 /
-                static_cast<double>(report.sessions_completed)
-          : 0;
-  const auto model = platform::WorkloadModel::paper_calibrated();
-  report.gap = platform::serving_gap(model, load_.appliance, served,
-                                     load_.battery_kj, load_.pk_primitive);
-  report.ticket_gap = platform::serving_gap_ticket(
-      model, load_.appliance, served,
-      static_cast<double>(report.ticket_state_bytes),
-      static_cast<double>(report.cache_state_bytes),
-      /*ticket_wire_bytes=*/96.0, load_.battery_kj, load_.pk_primitive);
-  if (load_.shards > 0)
-    report.sharded_gap = platform::serving_gap_sharded(
-        model, load_.appliance, served, load_.shards,
-        static_cast<double>(load_.slice_us),
-        /*merge_instr_per_slice=*/2000.0, load_.battery_kj,
-        load_.pk_primitive);
+  report.gap = platform::serving_gap(
+      platform::WorkloadModel::paper_calibrated(),
+      platform::Processor::strongarm_sa1100(), served,
+      {.lanes = server_.offload_workers,
+       .lane_op_s =
+           static_cast<double>(server_.offload_costs.rsa_decrypt_us) / 1e6,
+       .batch_width = server_.offload_batch_width,
+       .batch_marginal = server_.offload_costs.batch_marginal,
+       .tickets = server_.ticket.enabled,
+       .shards = load_.shards,
+       .slice_us = static_cast<double>(load_.slice_us)});
   return report;
 }
 

@@ -411,7 +411,7 @@ TEST(AccelTest, AcceleratedServingGapNarrowsAndSavesEnergy) {
 
   const ServingGapReport base = serving_gap(model, proc, load);
   const ServingGapReport fast =
-      serving_gap(model, AccelProfile::isa_dispatch(), proc, load);
+      serving_gap(model, proc, load, {.accel = AccelProfile::isa_dispatch()});
   EXPECT_GT(base.gap_ratio, 0);
   EXPECT_LT(fast.gap_ratio, base.gap_ratio);
   EXPECT_LT(fast.bulk_mips, base.bulk_mips);
@@ -422,7 +422,7 @@ TEST(AccelTest, AcceleratedServingGapNarrowsAndSavesEnergy) {
 
   // A tier that accelerates nothing must reproduce the base report.
   const ServingGapReport same =
-      serving_gap(model, AccelProfile::software(), proc, load);
+      serving_gap(model, proc, load, {.accel = AccelProfile::software()});
   EXPECT_NEAR(same.gap_ratio, base.gap_ratio, 1e-12);
   EXPECT_NEAR(same.session_mj, base.session_mj, 1e-12);
 }
@@ -437,30 +437,30 @@ TEST(AccelTest, ShardedServingGapSplitsLoadAndChargesBarrierTax) {
   load.avg_session_kb = 64.0;
 
   // 1000 merges/s at 2000 instr each = 2 MIPS of barrier tax per shard.
-  const ShardedGapReport four =
-      serving_gap_sharded(model, proc, load, 4, /*slice_us=*/1'000);
+  const ServingGapReport four =
+      serving_gap(model, proc, load, {.shards = 4, .slice_us = 1'000});
   EXPECT_NEAR(four.merge_overhead_mips, 2.0, 1e-9);
   EXPECT_NEAR(four.per_shard_required_mips,
-              four.fleet.required_mips / 4.0 + 2.0, 1e-9);
+              four.required_mips / 4.0 + 2.0, 1e-9);
   EXPECT_NEAR(four.shard_utilisation,
               four.per_shard_required_mips / proc.mips, 1e-12);
 
   // One shard pays the same tax but carries the whole fleet.
-  const ShardedGapReport one =
-      serving_gap_sharded(model, proc, load, 1, 1'000);
+  const ServingGapReport one =
+      serving_gap(model, proc, load, {.shards = 1, .slice_us = 1'000});
   EXPECT_NEAR(one.per_shard_required_mips,
-              one.fleet.required_mips + 2.0, 1e-9);
+              one.required_mips + 2.0, 1e-9);
   EXPECT_GT(one.shard_utilisation, four.shard_utilisation);
 
   // min_shards: ceil(required / (mips - tax)), at least 1.
   const double headroom = proc.mips - 2.0;
   EXPECT_NEAR(four.min_shards,
-              std::ceil(four.fleet.required_mips / headroom), 1e-9);
+              std::ceil(four.required_mips / headroom), 1e-9);
   EXPECT_GE(four.min_shards, 1.0);
 
   // Coarser slices shrink the tax.
-  const ShardedGapReport coarse =
-      serving_gap_sharded(model, proc, load, 4, 10'000);
+  const ServingGapReport coarse =
+      serving_gap(model, proc, load, {.shards = 4, .slice_us = 10'000});
   EXPECT_NEAR(coarse.merge_overhead_mips, 0.2, 1e-9);
   EXPECT_LT(coarse.per_shard_required_mips, four.per_shard_required_mips);
 }
@@ -542,22 +542,23 @@ TEST(ServingGapGolden, IsaDispatch) {
        8.7652069632495149, 5.4856211456000006, 4739663.8065052154}};
   const auto model = WorkloadModel::paper_calibrated();
   for (int i = 0; i < 2; ++i)
-    expect_host(serving_gap(model, AccelProfile::isa_dispatch(),
-                            Processor::strongarm_sa1100(), golden_load(i)),
+    expect_host(serving_gap(model, Processor::strongarm_sa1100(),
+                            golden_load(i),
+                            {.accel = AccelProfile::isa_dispatch()}),
                 kIsa[i]);
 }
 
 TEST(ServingGapGolden, Offloaded) {
   const auto model = WorkloadModel::paper_calibrated();
   for (int i = 0; i < 2; ++i) {
-    const OffloadGapReport r = serving_gap_offloaded(
-        model, Processor::strongarm_sa1100(), golden_load(i), 2, 0.004);
-    expect_host(r.host, kOffloadHost[i]);
-    expect_pinned(r.pk_ops_per_s, i == 0 ? 2 : 40, "pk_ops_per_s");
-    expect_pinned(r.lane_service_s, 0.004, "lane_service_s");
-    expect_pinned(r.lanes, 2, "lanes");
+    const ServingGapReport r =
+        serving_gap(model, Processor::strongarm_sa1100(), golden_load(i),
+                    {.lanes = 2, .lane_op_s = 0.004});
+    expect_host(r, kOffloadHost[i]);
+    expect_pinned(r.effective_op_s, 0.004, "effective_op_s");
     expect_pinned(r.lane_utilisation, i == 0 ? 0.004 : 0.08,
                   "lane_utilisation");
+    expect_pinned(r.throughput_gain, 1, "throughput_gain");
     expect_pinned(r.min_lanes, 1, "min_lanes");
   }
 }
@@ -565,18 +566,16 @@ TEST(ServingGapGolden, Offloaded) {
 TEST(ServingGapGolden, Batched) {
   const auto model = WorkloadModel::paper_calibrated();
   for (int i = 0; i < 2; ++i) {
-    const BatchedGapReport r = serving_gap_batched(
-        model, Processor::strongarm_sa1100(), golden_load(i), 2, 0.004, 4,
-        0.3);
-    expect_host(r.offload.host, kOffloadHost[i]);
-    expect_pinned(r.offload.lane_utilisation, i == 0 ? 0.004 : 0.08,
-                  "offload.lane_utilisation");
-    expect_pinned(r.offload.min_lanes, 1, "offload.min_lanes");
-    expect_pinned(r.batch_width, 4, "batch_width");
-    expect_pinned(r.batch_marginal, 0.3, "batch_marginal");
+    const ServingGapReport r = serving_gap(
+        model, Processor::strongarm_sa1100(), golden_load(i),
+        {.lanes = 2, .lane_op_s = 0.004, .batch_width = 4,
+         .batch_marginal = 0.3});
+    // Batching moves lane occupancy only; the host plane is the
+    // width-1 offload's.
+    expect_host(r, kOffloadHost[i]);
     expect_pinned(r.effective_op_s, 0.0019, "effective_op_s");
-    expect_pinned(r.batched_utilisation, i == 0 ? 0.0019 : 0.038,
-                  "batched_utilisation");
+    expect_pinned(r.lane_utilisation, i == 0 ? 0.0019 : 0.038,
+                  "lane_utilisation");
     expect_pinned(r.throughput_gain, 2.1052631578947367, "throughput_gain");
     expect_pinned(r.min_lanes, 1, "min_lanes");
   }
@@ -591,26 +590,24 @@ TEST(ServingGapGolden, Ticket) {
        27.428105728000002, 947932.76130104309}};
   const auto model = WorkloadModel::paper_calibrated();
   for (int i = 0; i < 2; ++i) {
-    const TicketGapReport r = serving_gap_ticket(
-        model, Processor::strongarm_sa1100(), golden_load(i), 512, 20'000);
-    expect_host(r.host, kTicket[i]);
+    const ServingGapReport r = serving_gap(
+        model, Processor::strongarm_sa1100(), golden_load(i),
+        {.tickets = true});
+    expect_host(r, kTicket[i]);
     expect_pinned(r.ticket_open_mips, i == 0 ? 0.06912 : 1.3824,
                   "ticket_open_mips");
     expect_pinned(r.ticket_seal_mips, i == 0 ? 0.01152 : 0.2304,
                   "ticket_seal_mips");
-    expect_pinned(r.server_state_bytes, 512, "server_state_bytes");
-    expect_pinned(r.cache_state_bytes, 20'000, "cache_state_bytes");
-    expect_pinned(r.state_ratio, 39.0625, "state_ratio");
   }
 }
 
 TEST(ServingGapGolden, Sharded) {
   const auto model = WorkloadModel::paper_calibrated();
   for (int i = 0; i < 2; ++i) {
-    const ShardedGapReport r = serving_gap_sharded(
-        model, Processor::strongarm_sa1100(), golden_load(i), 4, 1'000);
-    expect_host(r.fleet, kSoftware[i]);
-    expect_pinned(r.shards, 4, "shards");
+    const ServingGapReport r =
+        serving_gap(model, Processor::strongarm_sa1100(), golden_load(i),
+                    {.shards = 4, .slice_us = 1'000});
+    expect_host(r, kSoftware[i]);
     expect_pinned(r.merge_overhead_mips, 2, "merge_overhead_mips");
     expect_pinned(r.per_shard_required_mips,
                   i == 0 ? 95.129999999999995 : 594.56500000000005,
@@ -625,22 +622,20 @@ TEST(ServingGapGolden, Sharded) {
 TEST(ServingGapGolden, Failover) {
   const auto model = WorkloadModel::paper_calibrated();
   for (int i = 0; i < 2; ++i) {
-    const FailoverGapReport r = serving_gap_failover(
-        model, Processor::strongarm_sa1100(), golden_load(i), 4, 1'000,
-        /*reconnect_sessions=*/150, /*blackout_s=*/0.25);
-    expect_host(r.steady.fleet, kSoftware[i]);
-    expect_pinned(r.steady.per_shard_required_mips,
+    const ServingGapReport r =
+        serving_gap(model, Processor::strongarm_sa1100(), golden_load(i),
+                    {.shards = 4, .slice_us = 1'000,
+                     .reconnect_sessions = 150, .blackout_s = 0.25});
+    expect_host(r, kSoftware[i]);
+    expect_pinned(r.per_shard_required_mips,
                   i == 0 ? 95.129999999999995 : 594.56500000000005,
-                  "steady.per_shard_required_mips");
-    expect_pinned(r.surviving_shards, 3, "surviving_shards");
+                  "per_shard_required_mips");
     expect_pinned(r.degraded_required_mips,
                   i == 0 ? 127.37333333333333 : 793.28666666666675,
                   "degraded_required_mips");
     expect_pinned(r.degraded_utilisation,
                   i == 0 ? 0.54201418439716309 : 3.3756879432624118,
                   "degraded_utilisation");
-    expect_pinned(r.blackout_s, 0.25, "blackout_s");
-    expect_pinned(r.reconnect_sessions, 150, "reconnect_sessions");
     expect_pinned(r.burst_mips, 3.6, "burst_mips");
     expect_pinned(r.crash_energy_mj, 1.53, "crash_energy_mj");
     expect_pinned(r.crash_energy_full_mj, 14'280, "crash_energy_full_mj");

@@ -385,12 +385,16 @@ TEST_F(FailoverTest, FailoverGapPricesTheCrash) {
   load.avg_session_kb = 4.0;
   load.sessions_per_s = 160;
 
-  const platform::FailoverGapReport r = platform::serving_gap_failover(
-      model, proc, load, /*shards=*/4, /*slice_us=*/1'000,
-      /*reconnect_sessions=*/150, /*blackout_s=*/0.25);
-  EXPECT_DOUBLE_EQ(r.surviving_shards, 3.0);
+  const platform::ServingGapReport r = platform::serving_gap(
+      model, proc, load,
+      {.shards = 4, .slice_us = 1'000, .reconnect_sessions = 150,
+       .blackout_s = 0.25});
+  // Three survivors carry the fleet, the barrier tax and the burst.
+  EXPECT_DOUBLE_EQ(r.degraded_required_mips,
+                   r.required_mips / 3.0 + r.merge_overhead_mips +
+                       r.burst_mips / 3.0);
   // Losing a core makes the survivors' life strictly harder.
-  EXPECT_GT(r.degraded_required_mips, r.steady.per_shard_required_mips);
+  EXPECT_GT(r.degraded_required_mips, r.per_shard_required_mips);
   EXPECT_GT(r.burst_mips, 0.0);
   EXPECT_GT(r.crash_energy_mj, 0.0);
   // The whole point of stateless tickets: the crash bill is orders of

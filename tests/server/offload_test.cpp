@@ -57,7 +57,6 @@ class ServerOffloadTest : public ::testing::Test {
   static LoadConfig load_config(std::size_t clients) {
     LoadConfig cfg;
     cfg.num_clients = clients;
-    cfg.appliance = platform::Processor::strongarm_sa1100();
     return cfg;
   }
 

@@ -226,7 +226,6 @@ class ServerTest : public ::testing::Test {
   static LoadConfig load_config(std::size_t clients) {
     LoadConfig cfg;
     cfg.num_clients = clients;
-    cfg.appliance = platform::Processor::strongarm_sa1100();
     return cfg;
   }
 

@@ -97,7 +97,6 @@ class ShardedServerTest : public ::testing::Test {
   static LoadConfig sharded_load(std::size_t clients, std::size_t shards) {
     LoadConfig cfg;
     cfg.num_clients = clients;
-    cfg.appliance = platform::Processor::strongarm_sa1100();
     cfg.shards = shards;
     return cfg;
   }
@@ -122,7 +121,6 @@ LoadReport run_fleet(const ShardedServerTest* /*tag*/, ServerConfig server,
                      std::size_t shards, bool tickets) {
   LoadConfig load;
   load.num_clients = clients;
-  load.appliance = platform::Processor::strongarm_sa1100();
   load.channel.loss_rate = 0.02;  // a little weather: retries happen
   load.shards = shards;
   client.sessions = 2;  // second session resumes

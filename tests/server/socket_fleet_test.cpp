@@ -89,7 +89,6 @@ TEST_F(SocketFleetTest, SocketOutcomesMatchSimRunForSameSeed) {
   LoadConfig sim_load;
   sim_load.num_clients = kClients;
   sim_load.seed = kSeed;
-  sim_load.appliance = platform::Processor::strongarm_sa1100();
   LoadGenerator gen(sim_load, server_config(), client, cache);
   const LoadReport sim = gen.run();
   ASSERT_EQ(sim.sessions_completed, kClients * 2);

@@ -55,7 +55,6 @@ class TicketModeTest : public ::testing::Test {
   static LoadConfig load_config(std::size_t clients) {
     LoadConfig cfg;
     cfg.num_clients = clients;
-    cfg.appliance = platform::Processor::strongarm_sa1100();
     return cfg;
   }
 
@@ -92,10 +91,8 @@ TEST_F(TicketModeTest, SecondSessionResumesStatelesslyWithZeroCacheBytes) {
   // bytes regardless of fleet size.
   EXPECT_GT(report.ticket_state_bytes, 0u);
   EXPECT_LT(report.ticket_state_bytes, 1'024u);
-  // The ticket-tier pricing carries the state comparison.
-  EXPECT_GT(report.ticket_gap.ticket_open_mips, 0.0);
-  EXPECT_EQ(report.ticket_gap.server_state_bytes,
-            static_cast<double>(report.ticket_state_bytes));
+  // The run is priced as the ticket tier it ran as.
+  EXPECT_GT(report.gap.ticket_open_mips, 0.0);
 }
 
 TEST_F(TicketModeTest, FleetDigestIdenticalCacheVsTicket) {
