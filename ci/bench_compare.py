@@ -2,6 +2,14 @@
 """Compare a fresh benchmark JSON report against a committed baseline.
 
 Usage: bench_compare.py BASELINE.json FRESH.json [--threshold 0.20]
+       bench_compare.py --exact BASELINE.json FRESH.json
+
+--exact is the equivalence oracle for scenario reports: it fails unless
+every leaf of FRESH equals the same leaf of BASELINE (and neither report
+has a leaf the other lacks), wall-clock leaves aside (keys ending in
+"_wall" or "_ns_per_lookup", "wall_s", and "wall_over_modeled_*"). It
+names every leaf that differs. Use it to show that a change which should
+not move any simulated figure did not.
 
 Two input formats are understood:
 
@@ -211,13 +219,60 @@ def check_socket_wallclock(path):
     return not failures
 
 
+def _is_wall_clock(path):
+    key = path.rsplit("/", 1)[-1]
+    return (key == "wall_s" or key.endswith(("_wall", "_ns_per_lookup"))
+            or key.startswith("wall_over_modeled_"))
+
+
+def _leaves(node, prefix, out):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _leaves(value, f"{prefix}/{key}" if prefix else key, out)
+    else:
+        out[prefix] = node
+
+
+def compare_exact(baseline, fresh):
+    """Leaf-for-leaf equality of two scenario reports, wall clock aside."""
+    leaves = []
+    for path in (baseline, fresh):
+        with open(path) as f:
+            out = {}
+            _leaves(json.load(f), "", out)
+            leaves.append({k: v for k, v in out.items()
+                           if not _is_wall_clock(k)})
+    base, new = leaves
+    differ = 0
+    for name in sorted(set(base) | set(new)):
+        if name not in new:
+            print(f"  [gone]    {name} (in baseline only)")
+        elif name not in base:
+            print(f"  [new]     {name} (in fresh only)")
+        elif base[name] != new[name]:
+            print(f"  [DIFFER]  {name}: {base[name]!r} -> {new[name]!r}")
+        else:
+            continue
+        differ += 1
+    if differ:
+        print(f"{differ} of {len(set(base) | set(new))} leaves differ "
+              f"between {baseline} and {fresh}")
+        return 1
+    print(f"all {len(base)} non-wall-clock leaves identical")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("fresh")
     ap.add_argument("--threshold", type=float, default=0.20,
                     help="fractional regression that fails the run")
+    ap.add_argument("--exact", action="store_true",
+                    help="require every non-wall-clock leaf to be equal")
     args = ap.parse_args()
+    if args.exact:
+        return compare_exact(args.baseline, args.fresh)
 
     base_ctx, base = load_benchmarks(args.baseline)
     fresh_ctx, fresh = load_benchmarks(args.fresh)
