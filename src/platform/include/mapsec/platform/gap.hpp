@@ -102,7 +102,8 @@ struct ServingTier {
   double batch_marginal = 0.3;
 
   /// Stateless tickets: each resumed handshake opens and re-seals a
-  /// ticket, each full handshake seals one (AES-CCM over the blob).
+  /// ticket, each full handshake seals one (AES-CCM over the blob). The
+  /// CCM work is billed in MIPS and in the session's energy.
   bool tickets = false;
 
   /// Sharded tier: `shards` cores behind a uniform connection hash with

@@ -129,15 +129,23 @@ ServingGapReport serving_gap(const WorkloadModel& model,
   // instructions of one average session, priced through the processor's
   // energy per instruction. The tier's energy_efficiency is defined
   // against the host running the UNaccelerated workload, so the bill
-  // comes from the base model. An offloaded pk op still costs energy,
-  // at the accelerator's efficiency.
+  // comes from the base model. A ticket server's CCM opens and seals are
+  // part of the session, and an offloaded pk op still costs energy, at
+  // the accelerator's efficiency.
   const double full_share =
       load.sessions_per_s > 0
           ? load.full_handshakes_per_s / load.sessions_per_s
           : 1.0;
+  const double resumed_share =
+      load.sessions_per_s > 0
+          ? load.resumed_handshakes_per_s / load.sessions_per_s
+          : 0.0;
   const double bulk_instr_per_kb = model.instr_per_byte(kCipher) * 1024.0 +
                                    model.instr_per_byte(kMac) * 1024.0;
   double host_instr = load.avg_session_kb * bulk_instr_per_kb;
+  if (tier.tickets)
+    host_instr +=
+        (full_share + 2.0 * resumed_share) * ticket_ccm_instr(model);
   if (!offloaded) host_instr = full_share * model.instr_per_op(kPk) + host_instr;
   const double efficiency =
       tier.accel.energy_efficiency > 0 ? tier.accel.energy_efficiency : 1.0;

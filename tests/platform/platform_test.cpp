@@ -582,12 +582,15 @@ TEST(ServingGapGolden, Batched) {
 }
 
 TEST(ServingGapGolden, Ticket) {
-  // The ticket tier adds the CCM open/seal MIPS to the host plane.
+  // The ticket tier adds the CCM open/seal work to the host plane and to
+  // the session's energy bill: per session, a quarter full handshake
+  // seals one ticket and three quarters resumed ones open and re-seal
+  // one, (0.25 + 2 * 0.75) * 5760 = 10080 instructions = 0.017136 mJ.
   constexpr HostPins kTicket[2] = {
       {112, 260.51999999999998, 372.60064, 235, 1.5855346382978723,
-       81.84969164799999, 317655.44226867362},
+       81.866827647999997, 317588.95204528153},
       {2240, 130.25999999999999, 2371.8728000000001, 235, 10.093075744680851,
-       27.428105728000002, 947932.76130104309}};
+       27.445241727999999, 947340.90002473746}};
   const auto model = WorkloadModel::paper_calibrated();
   for (int i = 0; i < 2; ++i) {
     const ServingGapReport r = serving_gap(
