@@ -40,8 +40,6 @@ struct SocketConfig {
   std::size_t max_tx_slabs = 256;  // per-connection queued-output bound
   std::size_t max_rx_slabs = 256;  // per-connection inbound backlog bound
   int listen_backlog = 64;
-  bool reuseport = false;
-  bool nodelay = true;
   int sndbuf_bytes = 0;  // 0 = kernel default (tests shrink for backpressure)
   int rcvbuf_bytes = 0;
 };

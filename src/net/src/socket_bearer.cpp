@@ -38,10 +38,8 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 }
 
 void apply_socket_options(int fd, const SocketConfig& config) {
-  if (config.nodelay) {
-    int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (config.sndbuf_bytes > 0) {
     setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config.sndbuf_bytes,
                sizeof(config.sndbuf_bytes));
@@ -365,9 +363,6 @@ SocketListener::SocketListener(Reactor& reactor, BufferArena& arena,
   if (fd < 0) return;
   int one = 1;
   setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (config_.reuseport) {
-    setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-  }
   sockaddr_in addr = loopback_addr(port);
   if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
       listen(fd, config_.listen_backlog) != 0) {
