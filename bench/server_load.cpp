@@ -17,11 +17,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_guard.hpp"
@@ -355,7 +358,7 @@ bool flood_defense(const Pki& pki, JsonReport& json) {
 /// (BoundedSessionCache) vs an ordered tree at the 10k-entry scale a busy
 /// server holds. Uniformly random 16-byte ids are the worst case for a
 /// tree (every probe is O(log n) full byte-compares). Wall-clock.
-void cache_index(JsonReport& json) {
+std::pair<double, double> cache_index() {
   constexpr std::size_t kEntries = 10'000;
   constexpr std::size_t kLookups = 1'000'000;
   net::EventQueue clock;
@@ -387,8 +390,7 @@ void cache_index(JsonReport& json) {
               "(%.1fx); %zu found\n",
               kLookups, kEntries, hashed_ns, tree_ns,
               ratio(tree_ns, hashed_ns), found);
-  json.num("session_cache_hashed_ns_per_lookup", hashed_ns, 1);
-  json.num("session_cache_tree_ns_per_lookup", tree_ns, 1);
+  return {hashed_ns, tree_ns};
 }
 
 // ---- E25: supervised shard failure at fleet scale ---------------------------
@@ -780,8 +782,8 @@ int main(int argc, char** argv) {
       {"E18: record path vs PacketPipeline workers (100 clients x 8 x 512 B)",
        nullptr, true, {kRecord}, std::move(bulk)},
       json);
-  json.num("bulk_record_mbps", sweep.runs.back().report.record_mbps, 3);
-  json.flag("worker_sweep_digests_match", sweep.digests_match);
+
+  const bool defense_holds = flood_defense(pki, json);
 
   // E21/E22: the full-handshake fleet with the server's RSA private ops
   // on modeled accelerator lanes (4 ms/op) that drain windows of up to
@@ -828,8 +830,6 @@ int main(int argc, char** argv) {
   std::printf("1->4 lane handshake scaling %.2fx (gate >= 2x), record path "
               "%.3f -> %.3f Mbit/s\n",
               off_scaling, lane1.record_mbps, lane4.record_mbps);
-  json.flag("offload_digests_match", off.digests_match);
-  json.num("offload_scaling_1_to_4", off_scaling, 2);
 
   // 400 clients at 0.5 ms mean arrivals: the lane-bound phase is long
   // enough that the arrival ramp and the last session's record tail
@@ -873,11 +873,7 @@ int main(int argc, char** argv) {
   std::printf("1-lane width 1->4 handshake scaling %.2fx (gate >= 2x), "
               "record path %.3f -> %.3f Mbit/s\n",
               batch_scaling, width1.record_mbps, width4.record_mbps);
-  json.flag("batched_digests_match", bat.digests_match);
-  json.num("batched_scaling_width_1_to_4", batch_scaling, 2);
-
-  const bool defense_holds = flood_defense(pki, json);
-  cache_index(json);
+  const auto [cache_hashed_ns, cache_tree_ns] = cache_index();
 
   // E23: two identical fleets, one resuming through the bounded cache and
   // one through encrypted session tickets with the cache disabled
@@ -1060,6 +1056,14 @@ int main(int argc, char** argv) {
   const bool failover_ok = failover_slo(pki, json);
   const bool socket_ok = socket_bearer(pki, json);
 
+  json.flag("offload_digests_match", off.digests_match);
+  json.num("offload_scaling_1_to_4", off_scaling, 2);
+  json.flag("batched_digests_match", bat.digests_match);
+  json.num("batched_scaling_width_1_to_4", batch_scaling, 2);
+  json.num("session_cache_hashed_ns_per_lookup", cache_hashed_ns, 1);
+  json.num("session_cache_tree_ns_per_lookup", cache_tree_ns, 1);
+  json.num("bulk_record_mbps", sweep.runs.back().report.record_mbps, 3);
+  json.flag("worker_sweep_digests_match", sweep.digests_match);
   json.flag("flood_defense_holds", defense_holds);
   json.flag("sharded_ok", sharded_ok);
   json.flag("failover_ok", failover_ok);
