@@ -51,12 +51,8 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 double ratio(double num, double den) { return den > 0 ? num / den : 0.0; }
 
 std::string short_digest(const crypto::Bytes& digest) {
-  return crypto::to_hex(
-      crypto::ConstBytes(digest).first(std::min<std::size_t>(8, digest.size())));
-}
-
-const char* verdict(bool ok, const char* yes, const char* no) {
-  return ok ? yes : no;
+  const std::size_t n = std::min<std::size_t>(8, digest.size());
+  return crypto::to_hex(crypto::ConstBytes(digest).first(n));
 }
 
 /// The JSON report as a tree of `a/b/c` leaf paths, each object keeping
@@ -215,7 +211,7 @@ GroupRuns run_group(const Group& g, JsonReport& json) {
   std::fputs(tab.render().c_str(), stdout);
   if (g.one_fleet)
     std::printf("digests %s across the group\n",
-                verdict(out.digests_match, "IDENTICAL", "DIVERGED"));
+                out.digests_match ? "IDENTICAL" : "DIVERGED");
   return out;
 }
 
@@ -346,7 +342,7 @@ bool flood_defense(const Pki& pki, JsonReport& json) {
           defended.report.sessions_attempted;
   std::printf("defense %s: %.1f mJ -> %.1f mJ attack bill (%.1fx cheaper), "
               "honest fleet %zu/%zu\n",
-              verdict(holds, "HOLDS", "BROKEN"), undefended.attack_energy_mj,
+              holds ? "HOLDS" : "BROKEN", undefended.attack_energy_mj,
               defended.attack_energy_mj,
               ratio(undefended.attack_energy_mj, defended.attack_energy_mj),
               defended.report.sessions_completed,
@@ -459,8 +455,8 @@ bool failover_slo(const Pki& pki, JsonReport& json) {
                analysis::fmt(fo.blackout_p50_ms, 1) + " / " +
                    analysis::fmt(fo.blackout_p99_ms, 1)});
   tab.add_row({"digest vs rerun / vs undisturbed",
-               std::string(verdict(digest_rerun, "IDENTICAL", "DIVERGED")) +
-                   " / " + verdict(digest_calm, "IDENTICAL", "DIVERGED")});
+               std::string(digest_rerun ? "IDENTICAL" : "DIVERGED") +
+                   " / " + (digest_calm ? "IDENTICAL" : "DIVERGED")});
   tab.add_row({"degraded survivor demand (MIPS)",
                analysis::fmt(gap.degraded_required_mips, 1) +
                    " (steady per-shard " +
@@ -483,8 +479,8 @@ bool failover_slo(const Pki& pki, JsonReport& json) {
                   digest_calm && gap.ticket_saving_ratio > 1.0;
   std::printf("failover SLO %s: %zu reconnects all resumed by ticket, "
               "0 sessions lost, digests %s\n",
-              verdict(ok, "HOLDS", "BROKEN"), fo.client_reconnects,
-              verdict(digest_rerun && digest_calm, "pinned", "DIVERGED"));
+              ok ? "HOLDS" : "BROKEN", fo.client_reconnects,
+              digest_rerun && digest_calm ? "pinned" : "DIVERGED");
   if (!fo.invariants_ok())
     std::printf("campaign invariants: %s\n", fo.invariant_failures.c_str());
 
@@ -586,7 +582,6 @@ bool socket_bearer(const Pki& pki, JsonReport& json) {
     json.flag(b + "skipped", true);
     return true;
   }
-  JsonReport unused;
   const Cell cell = make_cell(pki, "sim_reference", kClients, [](Cell& c) {
     c.load.channel = {};  // loss-free
     c.load.seed = kSeed;
@@ -595,7 +590,7 @@ bool socket_bearer(const Pki& pki, JsonReport& json) {
   });
   const server::LoadReport ref =
       run_group({"E26 sim reference", nullptr, false, {kFullRate}, {cell}},
-                unused)
+                json)
           .runs[0]
           .report;
 
@@ -679,15 +674,15 @@ bool socket_bearer(const Pki& pki, JsonReport& json) {
   rate_row("record Mbit/s", ref.record_mbps, record_wall);
   st.add_row({"sessions completed", std::to_string(ref.sessions_completed),
               std::to_string(sum("sessions_completed")),
-              verdict(outcome_equal, "EQUAL", "DIVERGED")});
+              outcome_equal ? "EQUAL" : "DIVERGED"});
   std::fputs(st.render().c_str(), stdout);
   std::printf("socket bearer %s: outcomes %s, digest %s, conserved %s, "
               "zero-alloc %s, %" PRIu64 " bearer errors, wall %.2f s\n",
-              verdict(ok, "MATCHES SIM", "BROKEN"),
-              verdict(outcome_equal, "equal", "DIVERGED"),
-              verdict(digest_match, "identical", "DIVERGED"),
-              verdict(servers.conserved, "yes", "NO"),
-              verdict(zero_alloc, "yes", "NO"), sum("bearer_errors"), wall_s);
+              ok ? "MATCHES SIM" : "BROKEN",
+              outcome_equal ? "equal" : "DIVERGED",
+              digest_match ? "identical" : "DIVERGED",
+              servers.conserved ? "yes" : "NO",
+              zero_alloc ? "yes" : "NO", sum("bearer_errors"), wall_s);
 
   // Rates carry _wall names, never baseline-compared; the booleans are
   // structural gates (ci/bench_compare.py check_socket_wallclock).
@@ -943,7 +938,7 @@ int main(int argc, char** argv) {
   std::printf("ticket path %s: throughput droop %.1f%% (gate <= 10%%), "
               "charge drift %.1f%% (gate <= 10%%), state %.0f B/user -> "
               "%zu B total\n",
-              verdict(ticket_ok, "HOLDS", "DROOPED"), ticket_droop * 100,
+              ticket_ok ? "HOLDS" : "DROOPED", ticket_droop * 100,
               charge_drift * 100, per_user_bytes, rt.ticket_state_bytes);
   // Only the two rate pairs carry comparable suffixes; droop, state bytes
   // and the extrapolation rows are descriptive.
@@ -1001,13 +996,14 @@ int main(int argc, char** argv) {
        std::move(shard_cells)},
       json);
   bool sh_conserved = true;
-  for (const Run& r : sh.runs) sh_conserved = sh_conserved && r.report.conserved;
+  for (const Run& r : sh.runs)
+    sh_conserved = sh_conserved && r.report.conserved;
   const double shard_scaling =
       ratio(sh.runs[2].report.full_handshakes_per_s,
             sh.runs[0].report.full_handshakes_per_s);
   std::printf("1->4 shard aggregate handshake scaling %.2fx (gate >= 3x); "
               "books %s\n",
-              shard_scaling, verdict(sh_conserved, "conserved", "DIVERGED"));
+              shard_scaling, sh_conserved ? "conserved" : "DIVERGED");
 
   // E24 soak: lingering clients (handshake, then silence) pile up until
   // the idle reaper closes them, so the barrier-observed peak must reach

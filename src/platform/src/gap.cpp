@@ -146,7 +146,8 @@ ServingGapReport serving_gap(const WorkloadModel& model,
   if (tier.tickets)
     host_instr +=
         (full_share + 2.0 * resumed_share) * ticket_ccm_instr(model);
-  if (!offloaded) host_instr = full_share * model.instr_per_op(kPk) + host_instr;
+  if (!offloaded)
+    host_instr = full_share * model.instr_per_op(kPk) + host_instr;
   const double efficiency =
       tier.accel.energy_efficiency > 0 ? tier.accel.energy_efficiency : 1.0;
   r.session_mj = proc.millijoules_for(host_instr) / efficiency;

@@ -256,7 +256,6 @@ platform::ServedLoad served_load(const ServerStats& stats,
   return served;
 }
 
-
 LoadReport LoadGenerator::run() {
   FleetWorld world(load_, server_, client_, cache_);
   const ShardedServer::RunStats rs = world.run(load_.max_events);
