@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "mapsec/crypto/rng.hpp"
+#include "mapsec/crypto/rsa.hpp"
 #include "mapsec/engine/offload_engine.hpp"
 #include "mapsec/platform/processor.hpp"
 #include "mapsec/server/load_gen.hpp"
@@ -66,6 +67,72 @@ class ServerOffloadTest : public ::testing::Test {
     job.private_key = &server_key_->priv;
     job.input = Bytes(32, tag);
     return job;
+  }
+
+  /// One of each branch a lane window can take: a valid decrypt, a
+  /// decrypt whose plaintext is not type-2 padded, a ciphertext one byte
+  /// short, a sign, and a valid and a forged verify.
+  static std::vector<protocol::PkJob> mixed_jobs() {
+    using Kind = protocol::PkJob::Kind;
+    const crypto::RsaPrivateKey& priv = server_key_->priv;
+    const crypto::RsaPublicKey& pub = server_key_->pub;
+    const std::size_t k = pub.modulus_bytes();
+    crypto::HmacDrbg rng(0x313D);
+    std::vector<protocol::PkJob> jobs(6);
+
+    jobs[0].kind = Kind::kRsaDecrypt;
+    jobs[0].private_key = &priv;
+    jobs[0].input = crypto::rsa_encrypt_pkcs1(pub, Bytes(48, 0x5A), rng);
+
+    Bytes type1(k, 0xFF);  // 00 01 FF..FF: decrypts cleanly, pads badly
+    type1[0] = 0x00;
+    type1[1] = 0x01;
+    jobs[1].kind = Kind::kRsaDecrypt;
+    jobs[1].private_key = &priv;
+    jobs[1].input =
+        crypto::rsa_public_op(pub, crypto::BigInt::from_bytes_be(type1))
+            .to_bytes_be(k);
+
+    jobs[2].kind = Kind::kRsaDecrypt;
+    jobs[2].private_key = &priv;
+    jobs[2].input = Bytes(k - 1, 0x42);
+
+    jobs[3] = sign_job(0x33);
+
+    const Bytes content(40, 0x77);
+    jobs[4].kind = Kind::kRsaVerify;
+    jobs[4].public_key = pub;
+    jobs[4].input = content;
+    jobs[4].signature = crypto::rsa_sign_sha1(priv, content);
+    jobs[5] = jobs[4];
+    jobs[5].signature[k / 2] ^= 0x01;
+    return jobs;
+  }
+
+  /// Submit a lone sign (the idle lane dispatches it by itself) and then
+  /// the mixed jobs, which queue behind it into one window. Every
+  /// callback's result must equal run_pk_job on the same job.
+  static void run_mixed_window(engine::OffloadEngine& engine,
+                               net::EventQueue& queue) {
+    std::vector<protocol::PkJob> jobs = mixed_jobs();
+    jobs.insert(jobs.begin(), sign_job(0x11));
+    std::size_t completions = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const protocol::PkResult want = protocol::run_pk_job(jobs[i]);
+      engine.submit(jobs[i], [&completions, want, i](
+                                 const protocol::PkResult& got) {
+        ++completions;
+        EXPECT_EQ(got.kind, want.kind) << "job " << i;
+        EXPECT_EQ(got.decrypted, want.decrypted) << "job " << i;
+        EXPECT_EQ(got.signature, want.signature) << "job " << i;
+        EXPECT_EQ(got.valid, want.valid) << "job " << i;
+      });
+    }
+    queue.run_all();
+    EXPECT_EQ(completions, jobs.size());
+    EXPECT_EQ(engine.stats().completed, jobs.size());
+    EXPECT_EQ(engine.stats().batches, 2u);
+    EXPECT_EQ(engine.stats().max_batch_fill, jobs.size() - 1);
   }
 
   static crypto::RsaKeyPair* ca_key_;
@@ -247,6 +314,35 @@ TEST_F(ServerOffloadTest, StalledBatchIsStolenWholeWindow) {
   EXPECT_EQ(engine.stats().completed, 5u);
   EXPECT_EQ(engine.stats().batched_jobs, 4u);  // jobs 1..4 shared a window
   EXPECT_GE(engine.stats().stolen, 4u);  // at least the window was stolen
+}
+
+// A window mixing every job kind and every decrypt failure returns each
+// job's own result, on a healthy lane and when the whole window is stolen.
+TEST_F(ServerOffloadTest, MixedKindWindowMatchesRunPkJob) {
+  {
+    // The reference outcomes themselves: one valid plaintext, two
+    // rejected ciphertexts, one accepted and one rejected signature.
+    const std::vector<protocol::PkJob> jobs = mixed_jobs();
+    EXPECT_EQ(protocol::run_pk_job(jobs[0]).decrypted, Bytes(48, 0x5A));
+    EXPECT_FALSE(protocol::run_pk_job(jobs[1]).decrypted.has_value());
+    EXPECT_FALSE(protocol::run_pk_job(jobs[2]).decrypted.has_value());
+    EXPECT_TRUE(protocol::run_pk_job(jobs[4]).valid);
+    EXPECT_FALSE(protocol::run_pk_job(jobs[5]).valid);
+  }
+  {
+    net::EventQueue queue;
+    engine::OffloadEngine engine(queue, 1, {}, 250, /*batch_width=*/8);
+    run_mixed_window(engine, queue);
+    EXPECT_EQ(engine.stats().stolen, 0u);
+  }
+  {
+    net::EventQueue queue;
+    engine::OffloadEngine engine(queue, 1, {}, /*steal_timeout_ms=*/25,
+                                 /*batch_width=*/8);
+    engine.inject_worker_stall(0, 400'000'000);  // 400 ms per window
+    run_mixed_window(engine, queue);
+    EXPECT_GE(engine.stats().stolen, 6u);  // at least the mixed window
+  }
 }
 
 // --------------------------------------------- fleet-level determinism
