@@ -221,37 +221,6 @@ void BM_Rsa1024PrivateCrtCached(benchmark::State& state) {
   }
 }
 
-// E22's batched data plane: `width` independent CRT private ops drained
-// through one rsa_private_op_crt_batch call — all 2*width CIOS streams
-// interleave in a single crypto::BatchModExp. Throughput is reported
-// per op (items/s), so the win over BM_Rsa1024PrivateCrtCached is the
-// multi-exponentiation ILP gain at equal work.
-void rsa_crt_batched_bench(benchmark::State& state) {
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
-  HmacDrbg rng(5);
-  std::vector<BigInt> cts;
-  for (std::size_t i = 0; i < width; ++i)
-    cts.push_back(BigInt::random_below(rng, key1024().pub.n));
-  std::vector<RsaPrivateBatchOp> ops(width);
-  for (std::size_t i = 0; i < width; ++i)
-    ops[i] = {&key1024().priv, cts[i], nullptr};
-  MontCache cache;
-  for (auto _ : state) {
-    std::vector<BigInt> ms = rsa_private_op_crt_batch(ops, &cache);
-    benchmark::DoNotOptimize(ms.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(width));
-}
-
-void BM_Rsa1024PrivateCrtBatched(benchmark::State& state) {
-  rsa_crt_batched_bench(state);
-}
-void BM_Rsa1024PrivateCrtBatchedScalar(benchmark::State& state) {
-  ForceScalar scalar;
-  rsa_crt_batched_bench(state);
-}
-
 // Multi-buffer SHA-256: eight 4 KiB lanes hashed through one
 // sha256_many sweep (the AVX2 kernel runs all eight message schedules in
 // one pass). Bytes/s compares directly against BM_Sha256.
@@ -391,14 +360,6 @@ BENCHMARK(BM_Rsa1024PrivatePlain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateCrt)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateCrtScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateCrtCached)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Rsa1024PrivateCrtBatched)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Rsa1024PrivateCrtBatchedScalar)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateBlinded)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateLadder)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024Public)->Unit(benchmark::kMillisecond);

@@ -47,7 +47,7 @@ std::unique_ptr<PacketPipeline> make_pipeline(std::size_t workers,
 }
 
 /// Seal a batch outbound once, return it re-framed as inbound jobs.
-std::vector<PipelineJob> make_inbound_batch(PacketPipeline& p, bool ccmp) {
+std::vector<PipelineJob> make_inbound_batch(PacketPipeline& p) {
   std::vector<PipelineJob> out;
   for (std::size_t seq = 1; seq <= kPacketsPerSa; ++seq) {
     for (std::uint32_t id = 0; id < kNumSas; ++id) {
@@ -82,7 +82,7 @@ std::vector<PipelineJob> make_inbound_batch(PacketPipeline& p, bool ccmp) {
 void run_inbound(benchmark::State& state, bool ccmp) {
   const auto workers = static_cast<std::size_t>(state.range(0));
   auto p = make_pipeline(workers, ccmp);
-  const auto batch = make_inbound_batch(*p, ccmp);
+  const auto batch = make_inbound_batch(*p);
   std::size_t wire_bytes = 0;
   for (const auto& j : batch) wire_bytes += j.packet.size();
 

@@ -14,10 +14,11 @@ not move any simulated figure did not.
 Two input formats are understood:
 
   * google-benchmark reports (BENCH_crypto.json, BENCH_engine.json):
-    benchmarks matched by name (batched variants like
-    BM_Rsa1024PrivateCrtBatched/4 are distinct names, so every batch
-    width is compared per-width), throughput taken from bytes_per_second
-    or items_per_second when present, otherwise inverse real_time.
+    benchmarks matched by name (argument variants like
+    BM_CcmpInboundPipeline/4/real_time are distinct names, so every
+    worker count is compared separately), throughput taken from
+    bytes_per_second or items_per_second when present, otherwise inverse
+    real_time.
   * mapsec scenario reports (BENCH_server.json, any doc with a top-level
     "scenarios" key): nested dicts of named scenarios holding mixed
     metric fields. Only throughput-like numeric leaves (keys ending in

@@ -88,20 +88,9 @@ class Montgomery {
                           MontStats* stats = nullptr) const;
 
  private:
-  /// BatchModExp interleaves independent exponentiations over this
-  /// engine's raw limb representation; it reuses the private packing /
-  /// REDC-finish helpers so the batched path cannot diverge from exp().
-  friend class BatchModExp;
-
   /// out = REDC(a * b), all pointers kw_ limbs, out distinct from a and b.
   void mul_raw(const std::uint64_t* a, const std::uint64_t* b,
                std::uint64_t* out, MontStats* stats) const;
-
-  /// The final conditional subtraction + MontStats accounting applied to
-  /// a pre-subtraction REDC accumulator t (kw+1 significant limbs).
-  static void redc_finish(const std::uint64_t* t, const std::uint64_t* nw,
-                          std::size_t kw, std::uint64_t* out,
-                          MontStats* stats);
 
   void mul_raw_w64(const std::uint64_t* a, const std::uint64_t* b,
                    std::uint64_t* out, MontStats* stats) const;

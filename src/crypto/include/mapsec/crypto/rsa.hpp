@@ -16,7 +16,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "mapsec/crypto/bignum.hpp"
 #include "mapsec/crypto/modexp.hpp"
@@ -72,23 +71,6 @@ BigInt rsa_private_op_crt(const RsaPrivateKey& key, const BigInt& c,
                           MontStats* stats = nullptr,
                           MontCache* cache = nullptr);
 
-// ---- batched private operations --------------------------------------------
-
-/// One CRT private operation in a batch. `key` must outlive the call;
-/// `stats`, when set, receives exactly what rsa_private_op_crt would add.
-struct RsaPrivateBatchOp {
-  const RsaPrivateKey* key = nullptr;
-  BigInt c;
-  MontStats* stats = nullptr;
-};
-
-/// Run every operation through one interleaved multi-exponentiation (the
-/// p- and q-halves of all keys ride in a single BatchModExp). results[i]
-/// == rsa_private_op_crt(*ops[i].key, ops[i].c, ops[i].stats, cache)
-/// byte for byte, including MontStats, for any batch size and backend.
-std::vector<BigInt> rsa_private_op_crt_batch(
-    const std::vector<RsaPrivateBatchOp>& ops, MontCache* cache = nullptr);
-
 /// CRT private operation with verification countermeasure: recomputes the
 /// public operation and falls back to the slow path if the result is
 /// inconsistent (defeats the single-fault attack of Section 3.4).
@@ -112,26 +94,10 @@ std::optional<Bytes> rsa_decrypt_pkcs1(const RsaPrivateKey& key,
                                        ConstBytes ciphertext,
                                        MontCache* cache = nullptr);
 
-/// Decrypt split around the private operation so callers can batch it.
-/// prepare() validates the ciphertext and extracts the integer to
-/// exponentiate (false means the sequential path would return nullopt
-/// without a private op); finish() applies the padding parse to
-/// m = c^d mod n. rsa_decrypt_pkcs1 is exactly prepare + crt + finish,
-/// so the single and batched paths share every byte of logic.
-bool rsa_decrypt_pkcs1_prepare(const RsaPrivateKey& key, ConstBytes ciphertext,
-                               BigInt* c);
-std::optional<Bytes> rsa_decrypt_pkcs1_finish(const RsaPrivateKey& key,
-                                              const BigInt& m);
-
 /// Sign a SHA-1 digest with PKCS#1 v1.5 type-1 padding (DigestInfo for
 /// SHA-1).
 Bytes rsa_sign_sha1(const RsaPrivateKey& key, ConstBytes message,
                     MontCache* cache = nullptr);
-
-/// Signing split the same way: prepare() computes the EMSA-PKCS1 padded
-/// digest integer, finish() serializes the private-op result.
-BigInt rsa_sign_sha1_prepare(const RsaPrivateKey& key, ConstBytes message);
-Bytes rsa_sign_sha1_finish(const RsaPrivateKey& key, const BigInt& m);
 
 /// Verify a SHA-1 PKCS#1 v1.5 signature.
 bool rsa_verify_sha1(const RsaPublicKey& key, ConstBytes message,

@@ -126,21 +126,6 @@ MontPick pick_mont() {
   return {mont_cios_w64_scalar, "scalar"};
 }
 
-struct MontBatchPick {
-  MontCiosBatchFn fn;
-  const char* name;
-};
-
-MontBatchPick pick_mont_batch() {
-  const CpuFeatures& f = cpu_features();
-  // The interleaved kernel's ragged tail runs through kMontCiosUnrolled,
-  // so it carries the single-op kernel's CPUID requirements too.
-  if (kHaveMontBatch && kHaveMontUnrolled &&
-      (!kMontBatchNeedsBmi2 || (f.bmi2 && f.adx)))
-    return {kMontCiosBatchIlp, kMontBatchNeedsBmi2 ? "ilp-bmi2" : "ilp"};
-  return {mont_cios_w64_batch_scalar, "scalar"};
-}
-
 struct Sha256MbPick {
   Sha256MbFn fn;
   const char* name;
@@ -190,10 +175,6 @@ const MontPick& auto_mont() {
   static const MontPick p = pick_mont();
   return p;
 }
-const MontBatchPick& auto_mont_batch() {
-  static const MontBatchPick p = pick_mont_batch();
-  return p;
-}
 const Sha256MbPick& auto_sha256_mb() {
   static const Sha256MbPick p = pick_sha256_mb();
   return p;
@@ -230,11 +211,6 @@ MontCiosFn mont_cios_w64() {
   return auto_mont().fn;
 }
 
-MontCiosBatchFn mont_cios_w64_batch() {
-  if (scalar_forced()) return mont_cios_w64_batch_scalar;
-  return auto_mont_batch().fn;
-}
-
 Sha256MbFn sha256_mb() {
   if (scalar_forced()) return sha256_mb_scalar;
   return auto_sha256_mb().fn;
@@ -265,9 +241,6 @@ Capabilities capabilities() {
   const char* mont_name = forced ? "scalar" : auto_mont().name;
   c.primitives.push_back(
       {"modexp-cios", mont_name, std::string(mont_name) != "scalar"});
-  const char* mont_batch_name = forced ? "scalar" : auto_mont_batch().name;
-  c.primitives.push_back({"modexp-batch", mont_batch_name,
-                          std::string(mont_batch_name) != "scalar"});
   const char* sha_mb_name = forced ? "scalar" : auto_sha256_mb().name;
   c.primitives.push_back(
       {"sha256-mb", sha_mb_name, std::string(sha_mb_name) != "scalar"});

@@ -105,30 +105,6 @@ using MontCiosFn = void (*)(const std::uint64_t* a, const std::uint64_t* b,
 MontCiosFn mont_cios_w64();
 
 // ---------------------------------------------------------------------------
-// Batched Montgomery CIOS: `count` independent multiplications over the
-// SAME limb width kw, each with its OWN modulus/n0inv (so the two CRT
-// halves of different RSA keys batch together). Every operand's t buffer
-// has kw+2 slots and receives the identical pre-conditional-subtraction
-// REDC value the single-op kernel would produce — the batch kernel is an
-// instruction-scheduling transform only (independent carry chains
-// interleaved to fill the multiplier ports), never an arithmetic one.
-// The caller performs each lane's final data-dependent subtraction and
-// MontStats accounting exactly as in the single-op path.
-
-struct MontBatchOperand {
-  const std::uint64_t* a;
-  const std::uint64_t* b;
-  const std::uint64_t* n;
-  std::uint64_t n0inv;
-  std::uint64_t* t;  // kw + 2 slots, zeroed by the kernel
-};
-
-using MontCiosBatchFn = void (*)(const MontBatchOperand* ops,
-                                 std::size_t count, std::size_t kw);
-
-MontCiosBatchFn mont_cios_w64_batch();
-
-// ---------------------------------------------------------------------------
 // Multi-buffer SHA-256: advance `nlanes` independent states lockstep by
 // `nblocks` whole blocks each (states[l] is an 8-word state, blocks[l]
 // points at lane l's 64*nblocks message bytes). Bit-identical to calling
@@ -182,10 +158,6 @@ std::uint32_t crc32_raw(std::uint32_t raw, const std::uint8_t* data,
 void mont_cios_w64_scalar(const std::uint64_t* a, const std::uint64_t* b,
                           const std::uint64_t* n, std::uint64_t n0inv,
                           std::uint64_t* t, std::size_t kw);
-/// Sequential loop over mont_cios_w64_scalar — the interleaved-scalar
-/// reference the batched differential tests compare against.
-void mont_cios_w64_batch_scalar(const MontBatchOperand* ops,
-                                std::size_t count, std::size_t kw);
 /// Per-lane loop over sha256_compress_scalar.
 void sha256_mb_scalar(std::uint32_t* const* states,
                       const std::uint8_t* const* blocks, std::size_t nlanes,
@@ -214,10 +186,6 @@ extern const bool kHavePclmul;
 extern const MontCiosFn kMontCiosUnrolled;
 extern const bool kHaveMontUnrolled;  // TU compiled at all
 extern const bool kMontNeedsBmi2;     // TU compiled with -mbmi2/-madx
-
-extern const MontCiosBatchFn kMontCiosBatchIlp;
-extern const bool kHaveMontBatch;      // TU compiled at all
-extern const bool kMontBatchNeedsBmi2;  // TU compiled with -mbmi2/-madx
 
 extern const Sha256MbFn kSha256MbAvx2;
 extern const bool kHaveSha256Mb;

@@ -48,17 +48,6 @@ void mont_cios_w64_scalar(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
-// The batched reference path: each lane run to completion through the
-// scalar single-op kernel, in lane order. The ILP kernel must match this
-// bit for bit (it reorders instructions across lanes, never arithmetic
-// within one).
-void mont_cios_w64_batch_scalar(const MontBatchOperand* ops,
-                                std::size_t count, std::size_t kw) {
-  for (std::size_t i = 0; i < count; ++i)
-    mont_cios_w64_scalar(ops[i].a, ops[i].b, ops[i].n, ops[i].n0inv, ops[i].t,
-                         kw);
-}
-
 }  // namespace dispatch
 
 Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
@@ -208,23 +197,16 @@ void Montgomery::mul_raw_w64(const std::uint64_t* a, const std::uint64_t* b,
   // extra-reduction statistics the timing attack consumes cannot drift
   // between backends.
   std::uint64_t* t = scratch_.data();
-  dispatch::mont_cios_w64()(a, b, n_limbs_.data(), n0inv_, t, kw_);
-  redc_finish(t, n_limbs_.data(), kw_, out, stats);
-}
-
-// Final conditional subtraction (the data-dependent "extra reduction"
-// the timing attack measures): result = t - n when t >= n. Shared by the
-// single-op path and BatchModExp so the extra-reduction statistics the
-// timing attack consumes cannot drift between them.
-void Montgomery::redc_finish(const std::uint64_t* t, const std::uint64_t* nw,
-                             std::size_t kw, std::uint64_t* out,
-                             MontStats* stats) {
+  const std::uint64_t* nw = n_limbs_.data();
+  dispatch::mont_cios_w64()(a, b, nw, n0inv_, t, kw_);
   if (stats) ++stats->mults;
 
-  bool ge = t[kw] != 0;
+  // Final conditional subtraction (the data-dependent "extra reduction"
+  // the timing attack measures): result = t - n when t >= n.
+  bool ge = t[kw_] != 0;
   if (!ge) {
     ge = true;  // assume equal until a differing limb decides
-    for (std::size_t j = kw; j-- > 0;) {
+    for (std::size_t j = kw_; j-- > 0;) {
       if (t[j] != nw[j]) {
         ge = t[j] > nw[j];
         break;
@@ -233,7 +215,7 @@ void Montgomery::redc_finish(const std::uint64_t* t, const std::uint64_t* nw,
   }
   if (ge) {
     std::uint64_t borrow = 0;
-    for (std::size_t j = 0; j < kw; ++j) {
+    for (std::size_t j = 0; j < kw_; ++j) {
       const std::uint64_t d0 = t[j] - nw[j];
       const std::uint64_t d1 = d0 - borrow;
       borrow = static_cast<std::uint64_t>((t[j] < nw[j]) | (d0 < borrow));
@@ -241,7 +223,7 @@ void Montgomery::redc_finish(const std::uint64_t* t, const std::uint64_t* nw,
     }
     if (stats) ++stats->extra_reductions;
   } else {
-    std::memcpy(out, t, kw * sizeof(std::uint64_t));
+    std::memcpy(out, t, kw_ * sizeof(std::uint64_t));
   }
 }
 

@@ -1,10 +1,8 @@
 #include "mapsec/crypto/rsa.hpp"
 
-#include <deque>
 #include <optional>
 #include <stdexcept>
 
-#include "mapsec/crypto/batch_modexp.hpp"
 #include "mapsec/crypto/mont_cache.hpp"
 #include "mapsec/crypto/prime.hpp"
 #include "mapsec/crypto/sha1.hpp"
@@ -89,39 +87,6 @@ BigInt rsa_private_op_crt(const RsaPrivateKey& key, const BigInt& c,
   return mq + key.q * h;
 }
 
-std::vector<BigInt> rsa_private_op_crt_batch(
-    const std::vector<RsaPrivateBatchOp>& ops, MontCache* cache) {
-  // Two BatchModExp lanes per operation — the p- and q-halves of every key
-  // interleave through one multi-exponentiation. Same validation, same
-  // mont_for contexts, same Garner recombination as the sequential path,
-  // so results and MontStats are bit-identical for any batch size.
-  std::deque<Montgomery> locals;  // stable addresses across emplace_back
-  std::vector<BatchModExp::Request> reqs;
-  reqs.reserve(2 * ops.size());
-  for (const RsaPrivateBatchOp& op : ops) {
-    if (op.c >= op.key->n)
-      throw std::invalid_argument("rsa_private_op_crt: c >= n");
-    const Montgomery& mont_p =
-        cache != nullptr ? cache->get(op.key->p) : locals.emplace_back(op.key->p);
-    const Montgomery& mont_q =
-        cache != nullptr ? cache->get(op.key->q) : locals.emplace_back(op.key->q);
-    reqs.push_back({&mont_p, op.c % op.key->p, op.key->dp, op.stats});
-    reqs.push_back({&mont_q, op.c % op.key->q, op.key->dq, op.stats});
-  }
-  const std::vector<BigInt> halves = BatchModExp::run(reqs);
-  std::vector<BigInt> results;
-  results.reserve(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const RsaPrivateKey& key = *ops[i].key;
-    const BigInt& mp = halves[2 * i];
-    const BigInt& mq = halves[2 * i + 1];
-    BigInt diff = mp >= mq ? mp - mq : key.p - ((mq - mp) % key.p);
-    const BigInt h = (key.qinv * diff) % key.p;
-    results.push_back(mq + key.q * h);
-  }
-  return results;
-}
-
 BigInt rsa_private_op_crt_checked(const RsaPrivateKey& key, const BigInt& c) {
   const BigInt m = rsa_private_op_crt(key, c);
   // Shamir/Joye-style output check: verify with the cheap public
@@ -170,16 +135,14 @@ Bytes rsa_encrypt_pkcs1(const RsaPublicKey& key, ConstBytes message,
   return rsa_public_op(key, BigInt::from_bytes_be(em)).to_bytes_be(k);
 }
 
-bool rsa_decrypt_pkcs1_prepare(const RsaPrivateKey& key, ConstBytes ciphertext,
-                               BigInt* c) {
-  if (ciphertext.size() != key.modulus_bytes()) return false;
-  *c = BigInt::from_bytes_be(ciphertext);
-  return *c < key.n;
-}
-
-std::optional<Bytes> rsa_decrypt_pkcs1_finish(const RsaPrivateKey& key,
-                                              const BigInt& m) {
-  const Bytes em = m.to_bytes_be(key.modulus_bytes());
+std::optional<Bytes> rsa_decrypt_pkcs1(const RsaPrivateKey& key,
+                                       ConstBytes ciphertext,
+                                       MontCache* cache) {
+  if (ciphertext.size() != key.modulus_bytes()) return std::nullopt;
+  const BigInt c = BigInt::from_bytes_be(ciphertext);
+  if (c >= key.n) return std::nullopt;
+  const Bytes em = rsa_private_op_crt(key, c, nullptr, cache)
+                       .to_bytes_be(key.modulus_bytes());
   if (em[0] != 0x00 || em[1] != 0x02) return std::nullopt;
   std::size_t sep = 0;
   for (std::size_t i = 2; i < em.size(); ++i) {
@@ -190,15 +153,6 @@ std::optional<Bytes> rsa_decrypt_pkcs1_finish(const RsaPrivateKey& key,
   }
   if (sep == 0 || sep < 10) return std::nullopt;  // PS must be >= 8 bytes
   return Bytes(em.begin() + static_cast<std::ptrdiff_t>(sep + 1), em.end());
-}
-
-std::optional<Bytes> rsa_decrypt_pkcs1(const RsaPrivateKey& key,
-                                       ConstBytes ciphertext,
-                                       MontCache* cache) {
-  BigInt c;
-  if (!rsa_decrypt_pkcs1_prepare(key, ciphertext, &c)) return std::nullopt;
-  return rsa_decrypt_pkcs1_finish(key,
-                                  rsa_private_op_crt(key, c, nullptr, cache));
 }
 
 namespace {
@@ -244,16 +198,6 @@ bool verify_with_prefix(const RsaPublicKey& key, ConstBytes prefix,
 Bytes rsa_sign_sha1(const RsaPrivateKey& key, ConstBytes message,
                     MontCache* cache) {
   return sign_with_prefix(key, kSha1Prefix, Sha1::hash(message), cache);
-}
-
-BigInt rsa_sign_sha1_prepare(const RsaPrivateKey& key, ConstBytes message) {
-  const Bytes em = emsa_pkcs1(cat(kSha1Prefix, Sha1::hash(message)),
-                              key.modulus_bytes());
-  return BigInt::from_bytes_be(em);
-}
-
-Bytes rsa_sign_sha1_finish(const RsaPrivateKey& key, const BigInt& m) {
-  return m.to_bytes_be(key.modulus_bytes());
 }
 
 bool rsa_verify_sha1(const RsaPublicKey& key, ConstBytes message,

@@ -33,15 +33,15 @@
 //
 // Batched data plane (batch_width > 1): when jobs queue up behind a busy
 // lane, the lane drains up to `batch_width` of them in one service
-// window and executes the window through protocol::run_pk_jobs — every
-// job's CRT exponentiations interleave in one crypto::BatchModExp. The
-// model prices the window at cost(first) + batch_marginal * cost(rest),
-// so batching only changes *when* completions fire, never what they
-// contain: an idle lane still dispatches a single job immediately (the
-// window only fills under queueing), per-job callbacks run in submission
-// order at the window's completion instant, and results are bit-identical
-// to width 1 — the honest-fleet transcript digest does not move for any
-// batch width.
+// window. The model prices the window at
+// cost(first) + batch_marginal * cost(rest); the worker (or the steal
+// path) computes the window's jobs one by one through
+// protocol::run_pk_job. So batching only changes *when* completions
+// fire, never what they contain: an idle lane still dispatches a single
+// job immediately (the window only fills under queueing), per-job
+// callbacks run in submission order at the window's completion instant,
+// and results are bit-identical to width 1 — the honest-fleet transcript
+// digest does not move for any batch width.
 #pragma once
 
 #include <atomic>
@@ -71,9 +71,9 @@ struct OffloadCosts {
   /// Marginal service-time fraction of each job drained into a lane's
   /// window after the first: a batch of k jobs costs
   /// cost(j0) + batch_marginal * (cost(j1) + ... + cost(j{k-1})). The
-  /// sub-unit factor models the interleaved multi-exponentiation's ILP
-  /// win (crypto::BatchModExp): the lane's multiplier ports that a single
-  /// carry chain leaves idle absorb the extra streams almost for free.
+  /// sub-unit factor prices the modeled accelerator's window (a datapath
+  /// that overlaps independent exponentiations), in simulated time only;
+  /// no host kernel is timed, and the host computes the jobs in turn.
   double batch_marginal = 0.3;
 
   std::uint64_t cost_us(protocol::PkJob::Kind kind) const {
@@ -134,9 +134,8 @@ class OffloadEngine {
 
  private:
   /// One dispatched lane window (1..batch_width jobs) — the unit of work
-  /// shared between the event loop and the pool. Workers execute the
-  /// whole window through protocol::run_pk_jobs, so the jobs' private
-  /// operations interleave through one multi-exponentiation.
+  /// shared between the event loop and the pool. A worker runs the
+  /// window's jobs in order through its lane's MontCache.
   struct Pending {
     std::vector<protocol::PkJob> jobs;
     std::mutex mu;

@@ -82,8 +82,8 @@ void OffloadEngine::close_batch(std::size_t lane) {
   std::unique_ptr<Forming> f = std::move(forming_[lane]);
   const net::SimTime start = f->start;
 
-  // Window price: the first job at full service cost, every extra stream
-  // at the marginal fraction (the interleaved kernel's ILP win).
+  // Window price: the first job at full service cost, every extra job at
+  // the modeled accelerator's marginal fraction.
   std::uint64_t cost = costs_.cost_us(f->jobs[0].kind);
   for (std::size_t j = 1; j < f->jobs.size(); ++j)
     cost += static_cast<std::uint64_t>(
@@ -125,10 +125,8 @@ void OffloadEngine::close_batch(std::size_t lane) {
           }
         }
         if (!have) {
-          std::vector<const protocol::PkJob*> ptrs;
-          ptrs.reserve(pending->jobs.size());
-          for (const protocol::PkJob& j : pending->jobs) ptrs.push_back(&j);
-          results = protocol::run_pk_jobs(ptrs, &steal_cache_);
+          for (const protocol::PkJob& j : pending->jobs)
+            results.push_back(protocol::run_pk_job(j, &steal_cache_));
           stats_.stolen += pending->jobs.size();
         }
         stats_.completed += results.size();
@@ -160,11 +158,10 @@ void OffloadEngine::worker_main(std::size_t index) {
         stall_ns_[index].load(std::memory_order_relaxed);
     if (stall != 0)
       std::this_thread::sleep_for(std::chrono::nanoseconds(stall));
-    std::vector<const protocol::PkJob*> ptrs;
-    ptrs.reserve(pending->jobs.size());
-    for (const protocol::PkJob& j : pending->jobs) ptrs.push_back(&j);
-    std::vector<protocol::PkResult> results =
-        protocol::run_pk_jobs(ptrs, &cache);
+    std::vector<protocol::PkResult> results;
+    results.reserve(pending->jobs.size());
+    for (const protocol::PkJob& j : pending->jobs)
+      results.push_back(protocol::run_pk_job(j, &cache));
     {
       std::lock_guard<std::mutex> lock(pending->mu);
       pending->results = std::move(results);

@@ -97,17 +97,10 @@ struct PkResult {
 
 /// Execute a job. Deterministic and side-effect free; safe to run on any
 /// thread. `cache`, when provided, reuses per-modulus Montgomery contexts
-/// (outputs identical either way).
+/// (outputs identical either way). OffloadEngine runs every job of a
+/// batched lane window through this call, one after another; the window's
+/// speedup lives in the modeled lane pricing, not in the host code.
 PkResult run_pk_job(const PkJob& job, crypto::MontCache* cache = nullptr);
-
-/// Execute a batch of jobs with their private-key exponentiations
-/// interleaved through one multi-exponentiation
-/// (crypto::rsa_private_op_crt_batch) — the accelerator's batched data
-/// plane. Verify jobs run inline (public op, nothing to batch).
-/// results[i] == run_pk_job(*jobs[i], cache) bit for bit, for any batch
-/// size and any dispatch backend.
-std::vector<PkResult> run_pk_jobs(const std::vector<const PkJob*>& jobs,
-                                  crypto::MontCache* cache = nullptr);
 
 /// What both sides agree on once established.
 struct HandshakeSummary {

@@ -378,64 +378,6 @@ PkResult run_pk_job(const PkJob& job, crypto::MontCache* cache) {
   return result;
 }
 
-std::vector<PkResult> run_pk_jobs(const std::vector<const PkJob*>& jobs,
-                                  crypto::MontCache* cache) {
-  std::vector<PkResult> results(jobs.size());
-  // Split every decrypt/sign around its private operation (the
-  // prepare/finish halves are the exact code run_pk_job executes), gather
-  // the private ops into one interleaved CRT batch, then finish each.
-  std::vector<crypto::RsaPrivateBatchOp> ops;
-  std::vector<std::size_t> op_slot;  // ops[k] belongs to jobs[op_slot[k]]
-  ops.reserve(jobs.size());
-  op_slot.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const PkJob& job = *jobs[i];
-    PkResult& result = results[i];
-    result.kind = job.kind;
-    switch (job.kind) {
-      case PkJob::Kind::kRsaDecrypt: {
-        if (job.private_key == nullptr)
-          throw HandshakeError("run_pk_job: decrypt without a private key");
-        crypto::BigInt c;
-        if (!crypto::rsa_decrypt_pkcs1_prepare(*job.private_key, job.input,
-                                               &c)) {
-          result.decrypted = std::nullopt;
-          break;
-        }
-        ops.push_back({job.private_key, std::move(c), nullptr});
-        op_slot.push_back(i);
-        break;
-      }
-      case PkJob::Kind::kRsaSign:
-        if (job.private_key == nullptr)
-          throw HandshakeError("run_pk_job: sign without a private key");
-        ops.push_back({job.private_key,
-                       crypto::rsa_sign_sha1_prepare(*job.private_key,
-                                                     job.input),
-                       nullptr});
-        op_slot.push_back(i);
-        break;
-      case PkJob::Kind::kRsaVerify:
-        result.valid = crypto::rsa_verify_sha1(job.public_key, job.input,
-                                               job.signature, cache);
-        break;
-    }
-  }
-  const std::vector<crypto::BigInt> ms =
-      crypto::rsa_private_op_crt_batch(ops, cache);
-  for (std::size_t k = 0; k < ops.size(); ++k) {
-    const PkJob& job = *jobs[op_slot[k]];
-    PkResult& result = results[op_slot[k]];
-    if (job.kind == PkJob::Kind::kRsaDecrypt) {
-      result.decrypted =
-          crypto::rsa_decrypt_pkcs1_finish(*job.private_key, ms[k]);
-    } else {
-      result.signature = crypto::rsa_sign_sha1_finish(*job.private_key, ms[k]);
-    }
-  }
-  return results;
-}
-
 // ---- TlsClient ----------------------------------------------------------------
 
 struct TlsClient::Impl {

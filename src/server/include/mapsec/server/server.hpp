@@ -109,7 +109,7 @@ struct ServerConfig {
   std::uint64_t offload_steal_timeout_ms = 250;
   /// Max queued jobs one accelerator lane drains per service window
   /// (engine::OffloadEngine batch_width). 1 = unbatched; wider windows
-  /// amortize the lane cost across interleaved exponentiations under
+  /// amortize the modeled lane cost (OffloadCosts::batch_marginal) under
   /// queueing. Results and the fleet digest are identical for any width.
   std::size_t offload_batch_width = 1;
 

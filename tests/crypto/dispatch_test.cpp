@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "mapsec/crypto/aes.hpp"
-#include "mapsec/crypto/batch_modexp.hpp"
 #include "mapsec/crypto/bignum.hpp"
 #include "mapsec/crypto/ccm.hpp"
 #include "mapsec/crypto/cipher.hpp"
@@ -72,8 +71,6 @@ TEST(DispatchTest, CapabilitiesReportsEveryPrimitiveAndHonoursForce) {
   EXPECT_NE(std::find(names.begin(), names.end(), "sha256"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "crc32"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "modexp-cios"),
-            names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "modexp-batch"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "sha256-mb"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "aes-mb"), names.end());
@@ -335,91 +332,6 @@ TEST(DispatchTest, ModExpMatchesScalarAcrossWidthsWithIdenticalStats) {
 
 // ---- batched data plane ---------------------------------------------------
 
-TEST(DispatchTest, BatchModExpMatchesSequentialExpAcrossWidths) {
-  std::mt19937 rng(0xBA7C4u);
-  // Widths 1..9 cover the degenerate single-lane batch, the full 4-wide
-  // kernel windows, and ragged tails; limb mixes put unrolled kw=4/8/16
-  // CIOS widths, the generic variable-width loop (12 limbs) and the
-  // radix-32 fallback (5 limbs) in the SAME batch so the width-grouping
-  // path is exercised, not just homogeneous batches.
-  const std::vector<std::size_t> limb_pool = {8, 16, 32, 5, 12};
-  for (int iter = 0; iter < 12; ++iter) {
-    const std::size_t width = 1 + rng() % 9;
-    std::vector<BigInt> mods, bases, exps;
-    for (std::size_t i = 0; i < width; ++i) {
-      const std::size_t limbs = limb_pool[rng() % limb_pool.size()];
-      BigInt n = random_odd_modulus(rng, limbs);
-      bases.push_back(random_below(rng, n));
-      // Occasional zero exponent hits the trivial path (result 1 % n).
-      exps.push_back(rng() % 7 == 0 ? BigInt(0) : random_below(rng, n));
-      mods.push_back(std::move(n));
-    }
-    const auto [s, a] = both_backends([&] {
-      std::vector<Montgomery> monts;
-      monts.reserve(width);
-      for (const BigInt& n : mods) monts.emplace_back(n);
-      std::vector<BatchModExp::Request> reqs(width);
-      std::vector<MontStats> batch_stats(width);
-      for (std::size_t i = 0; i < width; ++i)
-        reqs[i] = {&monts[i], bases[i], exps[i], &batch_stats[i]};
-      std::vector<BigInt> batched = BatchModExp::run(reqs);
-      // The sequential reference inside the same backend scope.
-      for (std::size_t i = 0; i < width; ++i) {
-        MontStats seq_stats;
-        const BigInt ref = monts[i].exp(bases[i], exps[i], &seq_stats);
-        EXPECT_EQ(batched[i], ref) << "lane " << i;
-        EXPECT_EQ(batch_stats[i].squares, seq_stats.squares) << "lane " << i;
-        EXPECT_EQ(batch_stats[i].mults, seq_stats.mults) << "lane " << i;
-        EXPECT_EQ(batch_stats[i].extra_reductions, seq_stats.extra_reductions)
-            << "lane " << i;
-      }
-      return batched;
-    });
-    ASSERT_EQ(s, a) << "width=" << width << " iter=" << iter;
-  }
-}
-
-TEST(DispatchTest, RsaBatchCrtMatchesSequential) {
-  HmacDrbg keygen(0xBA7C5);
-  const RsaKeyPair k1 = rsa_generate(keygen, 512);
-  const RsaKeyPair k2 = rsa_generate(keygen, 512);
-  std::mt19937 rng(0xBA7C6u);
-  for (const std::size_t width : {1u, 2u, 4u, 7u}) {
-    std::vector<const RsaPrivateKey*> keys;
-    std::vector<BigInt> cts;
-    for (std::size_t i = 0; i < width; ++i) {
-      const RsaPrivateKey& key = (rng() % 2 == 0) ? k1.priv : k2.priv;
-      keys.push_back(&key);
-      cts.push_back(random_below(rng, key.n));
-    }
-    const auto [s, a] = both_backends([&] {
-      std::vector<RsaPrivateBatchOp> ops(width);
-      std::vector<MontStats> batch_stats(width);
-      for (std::size_t i = 0; i < width; ++i)
-        ops[i] = {keys[i], cts[i], &batch_stats[i]};
-      MontCache cache;
-      std::vector<BigInt> batched = rsa_private_op_crt_batch(ops, &cache);
-      std::vector<BigInt> no_cache = rsa_private_op_crt_batch(ops);
-      EXPECT_EQ(batched, no_cache);
-      for (std::size_t i = 0; i < width; ++i) {
-        MontStats seq_stats;
-        EXPECT_EQ(batched[i],
-                  rsa_private_op_crt(*keys[i], cts[i], &seq_stats))
-            << "lane " << i;
-        EXPECT_EQ(batch_stats[i].extra_reductions,
-                  2 * seq_stats.extra_reductions)
-            << "lane " << i;  // two batch runs above, one sequential
-      }
-      return batched;
-    });
-    ASSERT_EQ(s, a) << "width=" << width;
-  }
-  // Out-of-range ciphertexts are rejected exactly like the single op.
-  std::vector<RsaPrivateBatchOp> bad(1);
-  bad[0] = {&k1.priv, k1.priv.n, nullptr};
-  EXPECT_THROW(rsa_private_op_crt_batch(bad), std::invalid_argument);
-}
-
 TEST(DispatchTest, Sha256ManyMatchesSingleLaneHash) {
   std::mt19937 rng(0x5AB8u);
   for (int iter = 0; iter < 30; ++iter) {
@@ -473,7 +385,9 @@ TEST(DispatchTest, CcmBatchMatchesSingleOpAndRejectsTamper) {
                                       tag_lens[i]))
             << "lane " << i;
         EXPECT_TRUE(opened[i].has_value()) << "lane " << i;
-        if (opened[i]) EXPECT_EQ(*opened[i], pts[i]) << "lane " << i;
+        if (opened[i]) {
+          EXPECT_EQ(*opened[i], pts[i]) << "lane " << i;
+        }
       }
       // Flip one byte in one lane: only that lane fails, neighbours in
       // the same multi-buffer pass stay intact.

@@ -282,8 +282,9 @@ TEST_F(FailoverTest, RendezvousMovesOnlyTheDeadShardsKeys) {
     const std::size_t after = shard_for_live(key, shards, one_down);
     EXPECT_LT(after, shards);
     EXPECT_TRUE(one_down[after]);
-    if (before != 2)
+    if (before != 2) {
       EXPECT_EQ(after, before) << "key " << key << " moved needlessly";
+    }
   }
   // Nothing routable: falls back to the stable hash (callers treat the
   // dial as unanswered).
