@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "mapsec/crypto/rng.hpp"
+#include "mapsec/crypto/sha256.hpp"
 
 namespace mapsec::crypto {
 namespace {
@@ -59,6 +61,34 @@ TEST(HmacDrbgTest, BelowIsUniformish) {
   }
   EXPECT_EQ(seen.size(), 10u);  // all residues hit in 300 draws
   EXPECT_THROW(rng.below(0), std::invalid_argument);
+}
+
+// Golden streams. The tests above only check self-consistency; these pin
+// the exact bytes, so a rewrite of the DRBG internals (or of the HMAC and
+// SHA-256 under it) cannot move any seeded key, nonce or protocol
+// transcript. The fill pattern covers one-byte fills (one V block, one
+// update per call), an exact 32 B block, 48 B and 100 B fills that cross
+// V-block boundaries, and a reseed. Both digests also match a plain
+// SP 800-90A model of the generator built on Python's hmac/hashlib.
+std::string golden_stream_digest(HmacDrbg& rng) {
+  Sha256 digest;
+  for (int i = 0; i < 13; ++i) digest.update(rng.bytes(1));
+  digest.update(rng.bytes(32));
+  digest.update(rng.bytes(48));
+  digest.update(rng.bytes(100));
+  rng.reseed(to_bytes("golden reseed entropy"));
+  digest.update(rng.bytes(32));
+  return to_hex(digest.finish());
+}
+
+TEST(HmacDrbgGoldenTest, U64SeedStream) {
+  HmacDrbg rng(0x5EED600DULL);
+  EXPECT_EQ(golden_stream_digest(rng), "bb98d98a192c5e51cade3a13300b4dafa7c804f17887ba945466c2eb4f11091d");
+}
+
+TEST(HmacDrbgGoldenTest, ByteSeedStream) {
+  HmacDrbg rng(to_bytes("golden seed material || nonce"));
+  EXPECT_EQ(golden_stream_digest(rng), "11067848d64370969872fa9ab468b21247205186fd5922451561f6c13614b41f");
 }
 
 TEST(SimTrngTest, HealthyUnderNormalOperation) {

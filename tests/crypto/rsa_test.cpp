@@ -111,6 +111,19 @@ TEST_F(RsaTest, Pkcs1RandomisedPadding) {
   EXPECT_NE(c1, c2);  // type-2 padding must randomise
 }
 
+// Pins one PKCS#1 v1.5 ciphertext byte for byte. The padding draws one
+// DRBG fill per nonzero byte, and seeded ciphertexts elsewhere (the
+// Bleichenbacher oracle runs, attack_lab) depend on that call pattern as
+// well as on the DRBG stream itself.
+TEST_F(RsaTest, Pkcs1GoldenCiphertext) {
+  HmacDrbg rng(0x9C51);
+  const Bytes ct = rsa_encrypt_pkcs1(
+      key512_->pub, to_bytes("pinned premaster secret"), rng);
+  EXPECT_EQ(to_hex(ct),
+            "9def9bdb1c48662fed277ae0e6bd5ecfcd5ec5afb318947e965f2c8c4ebb58bd"
+            "7ecf72a12646aa69879adf3bbd3cf0c072db99f727fb957a87aec7c856e9039c");
+}
+
 TEST_F(RsaTest, Pkcs1RejectsOversizeMessage) {
   HmacDrbg rng(8);
   const Bytes big(key512_->pub.modulus_bytes() - 10, 0x41);
