@@ -36,7 +36,8 @@ Bytes from_hex(std::string_view hex);
 /// the contents. Use for every comparison involving secret material.
 bool ct_equal(ConstBytes a, ConstBytes b);
 
-/// Best-effort secure wipe (volatile stores so the compiler cannot elide).
+/// Secure wipe: zeroes through explicit_bzero, which the compiler cannot
+/// elide as a dead store.
 void secure_wipe(std::uint8_t* data, std::size_t len);
 void secure_wipe(Bytes& data);
 

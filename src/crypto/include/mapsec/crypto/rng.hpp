@@ -14,6 +14,7 @@
 // reproducible keys, traces and protocol runs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -75,7 +76,8 @@ class SimTrng final : public Rng {
   std::uint32_t nibble_counts_[16] = {};
 };
 
-/// SP 800-90A HMAC-DRBG with SHA-256.
+/// SP 800-90A HMAC-DRBG with SHA-256. Generating performs no heap
+/// allocation: K and V live in the object and HMAC writes into them.
 class HmacDrbg final : public Rng {
  public:
   /// Instantiate from seed material (entropy || nonce || personalisation).
@@ -92,8 +94,8 @@ class HmacDrbg final : public Rng {
  private:
   void update(ConstBytes provided);
 
-  Bytes key_;
-  Bytes v_;
+  std::array<std::uint8_t, 32> key_{};  // K, one SHA-256 output
+  std::array<std::uint8_t, 32> v_{};    // V
   std::uint64_t reseed_counter_ = 0;
 };
 

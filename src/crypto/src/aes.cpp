@@ -95,7 +95,6 @@ std::uint8_t inv_sbox(std::uint8_t x) { return tables().inv[x]; }
 
 namespace {
 
-using aes_detail::gmul;
 using aes_detail::inv_sbox;
 using aes_detail::sbox;
 using aes_detail::xtime;
@@ -110,23 +109,13 @@ std::uint32_t sub_word(std::uint32_t w) {
 std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
 
 // InvMixColumns on a round-key word, for the equivalent inverse cipher's
-// transformed decryption schedule (FIPS 197 §5.3.5).
+// transformed decryption schedule (FIPS 197 §5.3.5). Td_r[S[a]] holds the
+// InvMixColumns column of byte a in row r (the InvSubBytes folded into Td
+// cancels the S-box), so four lookups replace sixteen GF(2^8) multiplies.
 std::uint32_t inv_mix_word(std::uint32_t w) {
-  const std::uint8_t a0 = static_cast<std::uint8_t>(w >> 24);
-  const std::uint8_t a1 = static_cast<std::uint8_t>(w >> 16);
-  const std::uint8_t a2 = static_cast<std::uint8_t>(w >> 8);
-  const std::uint8_t a3 = static_cast<std::uint8_t>(w);
-  return (std::uint32_t{static_cast<std::uint8_t>(
-              gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9))}
-          << 24) |
-         (std::uint32_t{static_cast<std::uint8_t>(
-              gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13))}
-          << 16) |
-         (std::uint32_t{static_cast<std::uint8_t>(
-              gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11))}
-          << 8) |
-         std::uint32_t{static_cast<std::uint8_t>(
-             gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14))};
+  const auto& t = aes_detail::tables();
+  return t.td[0][t.fwd[w >> 24]] ^ t.td[1][t.fwd[(w >> 16) & 0xFF]] ^
+         t.td[2][t.fwd[(w >> 8) & 0xFF]] ^ t.td[3][t.fwd[w & 0xFF]];
 }
 
 }  // namespace

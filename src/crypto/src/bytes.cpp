@@ -1,5 +1,7 @@
 #include "mapsec/crypto/bytes.hpp"
 
+#include <string.h>  // explicit_bzero
+
 #include <cctype>
 #include <stdexcept>
 
@@ -54,8 +56,7 @@ bool ct_equal(ConstBytes a, ConstBytes b) {
 }
 
 void secure_wipe(std::uint8_t* data, std::size_t len) {
-  volatile std::uint8_t* p = data;
-  for (std::size_t i = 0; i < len; ++i) p[i] = 0;
+  explicit_bzero(data, len);
 }
 
 void secure_wipe(Bytes& data) { secure_wipe(data.data(), data.size()); }

@@ -85,6 +85,9 @@ void sha256_ni(std::uint32_t state[8], const std::uint8_t* data,
     // Groups 3-15: full pattern. At group g the current chunk X=MSGS[g&3]
     // feeds the rounds while W[4(g+1)..] is produced into MSGS[(g+1)&3]
     // (alignr gathers the W[t-7] words) and msg1 pre-chews MSGS[(g+3)&3].
+    // Unrolled explicitly so MSGS stays in registers and the g bounds fold
+    // away at -O2 as well as -O3.
+#pragma GCC unroll 13
     for (int g = 3; g < 16; ++g) {
       const __m128i X = MSGS[g & 3];
       MSG = _mm_add_epi32(
@@ -116,7 +119,9 @@ void sha256_ni(std::uint32_t state[8], const std::uint8_t* data,
 }
 
 // sha1rnds4 takes its round-function selector as an immediate, so the
-// loop's g/5 has to be materialized through a switch.
+// loop's g/5 has to be materialized through a switch. sha1_ni unrolls its
+// group loop explicitly, which folds the switch to one instruction per
+// group; GCC leaves the loop rolled on its own at -O2 and -O3 alike.
 inline __m128i sha1_rnds4(__m128i abcd, __m128i e, int func) {
   switch (func) {
     case 0: return _mm_sha1rnds4_epu32(abcd, e, 0);
@@ -154,6 +159,7 @@ void sha1_ni(std::uint32_t state[5], const std::uint8_t* data,
     E1 = ABCD;
     ABCD = sha1_rnds4(ABCD, E0, 0);
 
+#pragma GCC unroll 20
     for (int g = 1; g < 20; ++g) {
       const __m128i X = MSGS[g & 3];
       __m128i* const cur = (g & 1) ? &E1 : &E0;

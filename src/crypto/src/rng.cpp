@@ -1,5 +1,6 @@
 #include "mapsec/crypto/rng.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "mapsec/crypto/hmac.hpp"
@@ -121,38 +122,46 @@ void SimTrng::fill(std::span<std::uint8_t> out) {
 
 // ---- HmacDrbg --------------------------------------------------------------
 
-HmacDrbg::HmacDrbg(ConstBytes seed)
-    : key_(Sha256::kDigestSize, 0x00), v_(Sha256::kDigestSize, 0x01) {
+namespace {
+
+using DrbgBlock = std::array<std::uint8_t, Sha256::kDigestSize>;
+
+// One SP 800-90A update round: K = HMAC(K, V || sep || provided) through
+// `keyed`, a context keyed with the current K; then V = HMAC(K, V) under
+// the new K. Returns a context keyed with the new K.
+HmacSha256 update_round(HmacSha256& keyed, DrbgBlock& key, DrbgBlock& v,
+                        std::uint8_t sep, ConstBytes provided) {
+  keyed.reset();
+  keyed.update(v);
+  keyed.update(ConstBytes{&sep, 1});
+  keyed.update(provided);
+  keyed.finish_into(key.data());
+  HmacSha256 next(key);
+  next.update(v);
+  next.finish_into(v.data());
+  return next;
+}
+
+}  // namespace
+
+HmacDrbg::HmacDrbg(ConstBytes seed) {
+  v_.fill(0x01);
   update(seed);
   reseed_counter_ = 1;
 }
 
 HmacDrbg::HmacDrbg(std::uint64_t seed) : HmacDrbg([&] {
-  Bytes s(8);
+  std::array<std::uint8_t, 8> s;
   store_be64(s.data(), seed);
   return s;
 }()) {}
 
 void HmacDrbg::update(ConstBytes provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  {
-    HmacSha256 h(key_);
-    h.update(v_);
-    const std::uint8_t zero = 0x00;
-    h.update(ConstBytes{&zero, 1});
-    h.update(provided);
-    key_ = h.finish();
-  }
-  v_ = HmacSha256::mac(key_, v_);
-  if (!provided.empty()) {
-    HmacSha256 h(key_);
-    h.update(v_);
-    const std::uint8_t one = 0x01;
-    h.update(ConstBytes{&one, 1});
-    h.update(provided);
-    key_ = h.finish();
-    v_ = HmacSha256::mac(key_, v_);
-  }
+  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V); and, when
+  // provided is non-empty, a second round with 0x01.
+  HmacSha256 keyed(key_);
+  HmacSha256 next = update_round(keyed, key_, v_, 0x00, provided);
+  if (!provided.empty()) update_round(next, key_, v_, 0x01, provided);
 }
 
 void HmacDrbg::reseed(ConstBytes entropy) {
@@ -161,14 +170,20 @@ void HmacDrbg::reseed(ConstBytes entropy) {
 }
 
 void HmacDrbg::fill(std::span<std::uint8_t> out) {
+  // Every V = HMAC(K, V) of this call and the update's K = HMAC(K, V||0x00)
+  // use the same K, so one keyed context serves them all.
+  HmacSha256 keyed(key_);
   std::size_t off = 0;
   while (off < out.size()) {
-    v_ = HmacSha256::mac(key_, v_);
+    keyed.reset();
+    keyed.update(v_);
+    keyed.finish_into(v_.data());
     const std::size_t take = std::min(v_.size(), out.size() - off);
-    for (std::size_t i = 0; i < take; ++i) out[off + i] = v_[i];
+    std::copy_n(v_.begin(), take,
+                out.begin() + static_cast<std::ptrdiff_t>(off));
     off += take;
   }
-  update({});
+  update_round(keyed, key_, v_, 0x00, {});
   ++reseed_counter_;
 }
 

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <random>
 
 #include "mapsec/crypto/aes.hpp"
 #include "mapsec/crypto/cipher.hpp"
 #include "mapsec/crypto/des.hpp"
+#include "mapsec/crypto/dispatch.hpp"
 #include "mapsec/crypto/rc2.hpp"
 #include "mapsec/crypto/rc4.hpp"
 #include "mapsec/crypto/rng.hpp"
@@ -161,15 +163,77 @@ TEST(AesTest, SboxSpotValues) {
 
 class AesKeySizeTest : public ::testing::TestWithParam<std::size_t> {};
 
+// Pins the dispatch backend for one scope and restores the prior mode.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(bool scalar) : prior_(dispatch::scalar_forced()) {
+    dispatch::force_scalar(scalar);
+  }
+  ~ScopedBackend() { dispatch::force_scalar(prior_); }
+
+ private:
+  bool prior_;
+};
+
+// 1000 random keys under each backend: decrypt inverts encrypt, and the
+// scalar and accelerated backends produce the same ciphertext.
 TEST_P(AesKeySizeTest, RoundTripRandom) {
   SimTrng rng(GetParam());
-  const Aes aes(rng.bytes(GetParam()));
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 1000; ++trial) {
+    const Bytes key = rng.bytes(GetParam());
     const Bytes pt = rng.bytes(16);
-    Bytes ct(16), back(16);
-    aes.encrypt_block(pt.data(), ct.data());
-    aes.decrypt_block(ct.data(), back.data());
-    EXPECT_EQ(back, pt);
+    Bytes ct[2] = {Bytes(16), Bytes(16)};
+    for (int scalar = 0; scalar < 2; ++scalar) {
+      const ScopedBackend backend(scalar == 1);
+      const Aes aes(key);
+      Bytes back(16);
+      aes.encrypt_block(pt.data(), ct[scalar].data());
+      aes.decrypt_block(ct[scalar].data(), back.data());
+      ASSERT_EQ(back, pt) << "key=" << to_hex(key) << " scalar=" << scalar;
+    }
+    ASSERT_EQ(ct[0], ct[1]) << "key=" << to_hex(key);
+  }
+}
+
+// InvMixColumns of one word by sixteen GF(2^8) multiplies (FIPS 197
+// §5.3.3): the oracle for the table-driven decryption schedule.
+std::uint32_t inv_mix_word_reference(std::uint32_t w) {
+  using aes_detail::gmul;
+  const std::uint8_t a[4] = {
+      static_cast<std::uint8_t>(w >> 24), static_cast<std::uint8_t>(w >> 16),
+      static_cast<std::uint8_t>(w >> 8), static_cast<std::uint8_t>(w)};
+  static constexpr std::uint8_t kRow[4] = {14, 11, 13, 9};
+  std::uint32_t out = 0;
+  for (int r = 0; r < 4; ++r) {
+    std::uint8_t v = 0;
+    for (int c = 0; c < 4; ++c) v ^= gmul(a[c], kRow[(c - r + 4) % 4]);
+    out |= std::uint32_t{v} << (24 - 8 * r);
+  }
+  return out;
+}
+
+// 1000 random keys: the decryption schedule is the encryption schedule in
+// reverse round order, with InvMixColumns applied to the inner rounds.
+TEST_P(AesKeySizeTest, DecryptionScheduleMatchesGmulForm) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam()));
+  for (int trial = 0; trial < 1000; ++trial) {
+    Bytes key(GetParam());
+    for (auto& b : key) b = static_cast<std::uint8_t>(gen());
+    const Aes aes(key);
+    const auto enc = aes.round_keys();
+    const auto dec = aes.dec_round_keys();
+    const int rounds = aes.rounds();
+    for (int round = 0; round <= rounds; ++round) {
+      for (std::size_t c = 0; c < 4; ++c) {
+        const std::uint32_t w =
+            enc[4 * static_cast<std::size_t>(rounds - round) + c];
+        const std::uint32_t want = (round == 0 || round == rounds)
+                                       ? w
+                                       : inv_mix_word_reference(w);
+        ASSERT_EQ(dec[4 * static_cast<std::size_t>(round) + c], want)
+            << "key=" << to_hex(key) << " round=" << round;
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Known-answer and property tests for the hash / MAC / checksum primitives.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 
 #include "mapsec/crypto/bytes.hpp"
@@ -131,6 +132,97 @@ TEST_P(HashPaddingBoundaryTest, DigestsStableAcrossSplitPoints) {
 INSTANTIATE_TEST_SUITE_P(PaddingEdges, HashPaddingBoundaryTest,
                          ::testing::Values(54, 55, 56, 57, 63, 64, 65, 119,
                                            120, 127, 128, 129));
+
+// ---- MD5 against its textbook loop form -----------------------------------
+
+// The RFC 1321 compression written as one loop that picks the round
+// function, message index and shift at run time: the oracle for Md5's
+// unrolled rounds.
+Bytes md5_reference(ConstBytes msg) {
+  static constexpr std::uint32_t kK[64] = {
+      0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
+      0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
+      0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
+      0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+      0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
+      0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
+      0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
+      0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+      0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
+      0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
+      0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
+  static constexpr unsigned kS[4][4] = {
+      {7, 12, 17, 22}, {5, 9, 14, 20}, {4, 11, 16, 23}, {6, 10, 15, 21}};
+
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0x00);
+  std::uint8_t len_le[8];
+  store_le64(len_le, std::uint64_t{msg.size()} * 8);
+  padded.insert(padded.end(), len_le, len_le + 8);
+
+  std::uint32_t h[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u};
+  for (std::size_t off = 0; off < padded.size(); off += 64) {
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i) m[i] = load_le32(padded.data() + off + 4 * i);
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t f;
+      int g;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      f = f + a + kK[i] + m[g];
+      a = d;
+      d = c;
+      c = b;
+      b = b + rotl32(f, kS[i / 16][i % 4]);
+    }
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+  }
+  Bytes digest(16);
+  for (int i = 0; i < 4; ++i) store_le32(digest.data() + 4 * i, h[i]);
+  return digest;
+}
+
+TEST(Md5OracleTest, EveryLengthUpTo300MatchesLoopForm) {
+  std::mt19937 gen(0x3D5);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    Bytes msg(len);
+    for (auto& b : msg) b = static_cast<std::uint8_t>(gen());
+    EXPECT_EQ(Md5::hash(msg), md5_reference(msg)) << "len=" << len;
+  }
+}
+
+TEST(Md5OracleTest, RandomSplitsMatchLoopForm) {
+  std::mt19937 gen(0x3D6);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes msg(gen() % 1000);
+    for (auto& b : msg) b = static_cast<std::uint8_t>(gen());
+    Md5 h;
+    std::size_t off = 0;
+    while (off < msg.size()) {
+      const std::size_t take =
+          std::min<std::size_t>(gen() % 150, msg.size() - off);
+      h.update({msg.data() + off, take});
+      off += take;
+    }
+    EXPECT_EQ(h.finish(), md5_reference(msg)) << "len=" << msg.size();
+  }
+}
 
 TEST(HmacTest, Rfc2202Sha1Vectors) {
   const Bytes key1(20, 0x0b);
