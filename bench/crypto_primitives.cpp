@@ -16,6 +16,7 @@
 #include "mapsec/crypto/crypto.hpp"
 #include "mapsec/crypto/dispatch.hpp"
 #include "mapsec/crypto/mont_cache.hpp"
+#include "mapsec/protocol/prf.hpp"
 
 namespace {
 
@@ -161,6 +162,46 @@ void BM_HmacSha1(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(buf.size()));
+}
+
+// Per-session costs: every TLS session builds about five AES schedules
+// (record ciphers, the CCM SA, each ticket seal and open), draws its
+// randoms and padding from the DRBG, and runs the TLS 1.0 PRF (half MD5,
+// half SHA-1) for its key block. The argument is the key size in bits.
+void BM_AesKeySchedule(benchmark::State& state) {
+  const Bytes key = test_data(static_cast<std::size_t>(state.range(0)) / 8);
+  for (auto _ : state) {
+    Aes aes(key);
+    benchmark::DoNotOptimize(&aes);
+    benchmark::ClobberMemory();
+  }
+}
+
+// One fill of state.range(0) bytes (a one-byte fill is one PKCS#1
+// padding byte).
+void BM_HmacDrbgFill(benchmark::State& state) {
+  HmacDrbg rng(15);
+  Bytes out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.fill(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+// The 104-byte key block of TLS_RSA_WITH_AES_128_CBC_SHA.
+void BM_TlsPrfKeyBlock(benchmark::State& state) {
+  HmacDrbg rng(16);
+  const Bytes master = rng.bytes(48);
+  const Bytes client_random = rng.bytes(32);
+  const Bytes server_random = rng.bytes(32);
+  for (auto _ : state) {
+    mapsec::protocol::KeyBlock kb = mapsec::protocol::derive_key_block(
+        master, client_random, server_random, 20, 16, 16);
+    benchmark::DoNotOptimize(kb.client_enc_key.data());
+  }
 }
 
 const RsaKeyPair& key512() {
@@ -356,6 +397,9 @@ BENCHMARK(BM_AesCcmSealBatch8Scalar);
 BENCHMARK(BM_Crc32);
 BENCHMARK(BM_Crc32Scalar);
 BENCHMARK(BM_HmacSha1);
+BENCHMARK(BM_AesKeySchedule)->Arg(128)->Arg(256);
+BENCHMARK(BM_HmacDrbgFill)->Arg(1)->Arg(32);
+BENCHMARK(BM_TlsPrfKeyBlock);
 BENCHMARK(BM_Rsa1024PrivatePlain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateCrt)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024PrivateCrtScalar)->Unit(benchmark::kMillisecond);

@@ -14,7 +14,9 @@ not move any simulated figure did not.
 Two input formats are understood:
 
   * google-benchmark reports (BENCH_crypto.json, BENCH_engine.json):
-    benchmarks matched by name (argument variants like
+    benchmarks matched by name (a report recorded with repetitions is
+    reduced to its _median aggregates, renamed to the plain run name, so
+    it compares against single-sample baselines too; argument variants like
     BM_CcmpInboundPipeline/4/real_time are distinct names, so every
     worker count is compared separately), throughput taken from
     bytes_per_second or items_per_second when present, otherwise inverse
@@ -83,9 +85,18 @@ def load_benchmarks(path):
                "crypto_dispatch": doc.get("crypto_dispatch")}
         return ctx, out
     out = {}
-    for b in doc.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
+    rows = doc.get("benchmarks", [])
+    # A report recorded with --benchmark_repetitions carries per-benchmark
+    # aggregates; compare the medians, named after their plain runs so they
+    # match a baseline recorded either way. Older single-sample reports
+    # have no aggregates and are compared row by row.
+    medians = [b for b in rows if b.get("run_type") == "aggregate"
+               and b.get("aggregate_name") == "median"]
+    if medians:
+        rows = [dict(b, name=b["run_name"]) for b in medians]
+    else:
+        rows = [b for b in rows if b.get("run_type") != "aggregate"]
+    for b in rows:
         name = b["name"]
         if "bytes_per_second" in b:
             out[name] = ("bytes_per_second", float(b["bytes_per_second"]))

@@ -125,8 +125,11 @@ if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
   BENCH_DIR="$(mktemp -d)"
   trap 'rm -rf "${BENCH_DIR}"' EXIT
   record_crypto() {
+    # Five repetitions, compared by their medians, damp one-sample
+    # outliers (single samples of one binary have differed by 0.62x).
     ./build/bench/bench_crypto_primitives \
       --benchmark_format=json --benchmark_min_time=0.2 \
+      --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
       --benchmark_out="${BENCH_DIR}/BENCH_crypto.json" \
       --benchmark_out_format=json
   }
