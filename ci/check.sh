@@ -83,6 +83,15 @@ echo "== forced-scalar batched differential sweep =="
 MAPSEC_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "${JOBS}" \
   -R 'Sha256Many|CcmBatch|BatchWidth|BatchWindow|MidBatch|WholeWindow'
 
+echo "== forced-scalar bit-identity pins =="
+# The Montgomery kernel cross-check (the ISA kernel against the scalar
+# oracle, 2^20 triples per width), the golden keygen outputs (primes and
+# the bench PKI digest), and the golden PRF, DRBG and PKCS#1 outputs must
+# hold on the scalar kernels as well: every key and transcript a scalar
+# host derives must equal an accelerated host's.
+MAPSEC_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "${JOBS}" \
+  -R 'MontKernel|KeygenGolden|GoldenExpansions|HmacDrbgGolden|Pkcs1Golden|ModExpMatchesScalar'
+
 echo "== forced-scalar ticket + renegotiation + sharded + failover sweep =="
 # Session tickets seal/open through AES-CCM and the renegotiation matrix
 # crosses cipher suites mid-session; both must be bit-identical on the

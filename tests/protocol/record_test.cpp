@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "mapsec/crypto/rng.hpp"
+#include "mapsec/crypto/sha256.hpp"
 #include "mapsec/protocol/prf.hpp"
 #include "mapsec/protocol/record.hpp"
 #include "mapsec/protocol/suites.hpp"
@@ -66,6 +67,61 @@ TEST(PrfTest, MasterSecretIs48Bytes) {
   const Bytes pm = rng.bytes(48);
   const Bytes ms = derive_master_secret(pm, rng.bytes(32), rng.bytes(32));
   EXPECT_EQ(ms.size(), 48u);
+}
+
+// Golden expansions. P_MD5, P_SHA1 and the TLS 1.0 PRF at lengths that
+// end inside, exactly on and one past a digest block (MD5 16 B, SHA-1 20 B),
+// plus the Finished (12 B), master-secret (48 B) and key-block (104 B)
+// lengths. The secret has odd length, so tls_prf's halves overlap. Each
+// digest is the SHA-256 of the output; all 24 also match a Python
+// hmac/hashlib model of RFC 2246 section 5.
+TEST(PrfTest, GoldenExpansions) {
+  struct Row {
+    std::size_t len;
+    const char* p_md5;
+    const char* p_sha1;
+    const char* tls_prf;
+  };
+  const Row rows[] = {
+      {1, "591b7cc95037822dec5a4d593a2e2e8b19c07ddd2570e5699003d17f14c440a6",
+           "2f0fd1e89b8de1d57292742ec380ea47066e307ad645f5bc3adad8a06ff58608",
+           "ee6bb86b44339392bae631c8f61dd8f009243c635adab33c0b20923a2794bf22"},
+      {12, "965cf5f1f8065ecb7aa7f271e4a39d8fb93e9ef10776faa5e95845805ef789a7",
+           "bd45253ec6a7ecf635e13c5659c64fd77d1c55c3e7ac6ceb2cd8859a9979c3df",
+           "8fc7112b786cf97e5c69076f96c9e10826806668803977f5b1352e2b1f12fcb1"},
+      {16, "b1876dec5039ef290bea3d7878f44ca005a4cc78ed18f3d9e52468b451d7f08e",
+           "a72c1f409e1b8e3d82eb525a21c26cac2c958348bc4e753e37ed9cf18f19f3dd",
+           "1504bd67697303509d16d9392c5c73a75923fab4a2f6f3a1d8a26451c82ad6fe"},
+      {20, "75c5cb5b0e978c093789e5ff77f2b250eca5188a88bd9ff7618e8c41f5a90c5f",
+           "b0e35e258b56023b8b56dc7a60926156d179aa97fd9cc3d9ab09344c5422ce3c",
+           "c492c0fedbfd8754249a90a76dcfb14113cdfeb0cba563fafcd61ce7042c0cd6"},
+      {36, "e0280e955380df854e913e5b1eef69b61cad45a2aab594082432f967a6f9abdb",
+           "b0f00d3bad15b6791f0580963f8675590734e09c8617c913480485aee530b842",
+           "a7952f79d9e358b3d6bdd92c7d15db2811fca4e867b252e988cce43dfd736bac"},
+      {48, "422c5cefa47e02ae737a37937af6ed13cd8a8a187e9231e23e177ad6adc73e0e",
+           "13883ccf9fe84eaa7ba6bcaaad71ee6b678fd6c7523e9adca20513ea3cdebad5",
+           "4f780d9b44be9b5bdc9b5871c72446c70ee90ea90206651653c88cf1ead4b01d"},
+      {104, "eb9249790eb2f1e96add483c032991fa5783d094e670f7b607bf13757a9a4734",
+           "d1ef60351cf1a73654cf1fc8883b4569bcceefa66aae6ace42e4fff0ecc1a543",
+           "eb18f2529ef317092d9c07f327678b6497d18fc6c795f49e6598d61fdb1bd88c"},
+      {160, "a4dcf0adda39ed87ea6eb81de16b5d0bc7fef6b9ded72b1ac04c614ef9eaf67e",
+           "faa0d76d3ec36dde69df00b74cc780aa68764f703b0c41c3fb0f11bc48db9daf",
+           "1baaf1cc7815c61d8df0dfd88e5f8c3986ce0977ccfb9f1bb2a9a843577c1ca6"},
+  };
+  const Bytes secret = to_bytes("golden prf secret");
+  const Bytes seed = to_bytes("golden prf seed");
+  const auto digest = [](const Bytes& out) {
+    return crypto::to_hex(crypto::Sha256::hash(out));
+  };
+  for (const Row& r : rows) {
+    const Bytes m = p_md5(secret, seed, r.len);
+    const Bytes s = p_sha1(secret, seed, r.len);
+    const Bytes t = tls_prf(secret, "golden label", seed, r.len);
+    ASSERT_EQ(m.size(), r.len);
+    EXPECT_EQ(digest(m), r.p_md5) << "P_MD5 len " << r.len;
+    EXPECT_EQ(digest(s), r.p_sha1) << "P_SHA1 len " << r.len;
+    EXPECT_EQ(digest(t), r.tls_prf) << "tls_prf len " << r.len;
+  }
 }
 
 // ---- record codec -------------------------------------------------------------
