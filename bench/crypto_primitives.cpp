@@ -9,7 +9,12 @@
 // fall out of one JSON report.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "bench_main.hpp"
+#include "kernels.hpp"
 #include "mapsec/crypto/ccm.hpp"
 #include "mapsec/crypto/cipher.hpp"
 #include "mapsec/crypto/crc32.hpp"
@@ -367,6 +372,37 @@ void BM_Dh1024SharedSecret(benchmark::State& state) {
   }
 }
 
+// One Montgomery multiply at 4/8/16/32 64-bit limbs (256- to 2048-bit
+// moduli): the dispatched CIOS kernel alone, without the final
+// conditional subtraction. Each call's product is the next call's left
+// operand, so calls run back to back as in an exponentiation and the
+// time is the kernel's latency.
+void BM_MontMul(benchmark::State& state) {
+  const auto kw = static_cast<std::size_t>(state.range(0));
+  std::mt19937_64 rng(kw);
+  std::vector<std::uint64_t> n(kw), a(kw), b(kw), t(kw + 2);
+  for (std::size_t i = 0; i < kw; ++i) {
+    n[i] = rng();
+    a[i] = rng();
+    b[i] = rng();
+  }
+  n[0] |= 1;
+  n[kw - 1] |= std::uint64_t{1} << 63;
+  a[kw - 1] >>= 1;  // a, b < n
+  b[kw - 1] >>= 1;
+  std::uint64_t x = n[0];  // -n^{-1} mod 2^64 by Newton iteration
+  for (int i = 0; i < 6; ++i) x *= 2u - n[0] * x;
+  const std::uint64_t n0inv = ~x + 1u;
+  const dispatch::MontCiosFn kernel = dispatch::mont_cios_w64();
+  for (auto _ : state) {
+    kernel(a.data(), b.data(), n.data(), n0inv, t.data(), kw);
+    std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(kw),
+              a.begin());
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void BM_Rsa512KeyGen(benchmark::State& state) {
   HmacDrbg rng(11);
   for (auto _ : state) {
@@ -409,6 +445,7 @@ BENCHMARK(BM_Rsa1024PrivateLadder)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa1024Public)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Rsa512PrivateCrt)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Dh1024SharedSecret)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MontMul)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_Rsa512KeyGen)->Unit(benchmark::kMillisecond);
 
 }  // namespace
