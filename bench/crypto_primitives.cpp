@@ -393,7 +393,7 @@ void BM_MontMul(benchmark::State& state) {
   std::uint64_t x = n[0];  // -n^{-1} mod 2^64 by Newton iteration
   for (int i = 0; i < 6; ++i) x *= 2u - n[0] * x;
   const std::uint64_t n0inv = ~x + 1u;
-  const dispatch::MontCiosFn kernel = dispatch::mont_cios_w64();
+  const dispatch::MontCiosFn kernel = dispatch::mont_cios_w64(kw);
   for (auto _ : state) {
     kernel(a.data(), b.data(), n.data(), n0inv, t.data(), kw);
     std::copy(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(kw),

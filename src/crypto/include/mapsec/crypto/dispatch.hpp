@@ -11,7 +11,7 @@
 //   AES block / CTR / CBC-MAC / CBC-decrypt  -> AES-NI (4-wide pipelined)
 //   SHA-1 / SHA-256 block compression        -> SHA-NI (else AVX2-assisted)
 //   CRC-32                                   -> PCLMULQDQ folding
-//   Montgomery CIOS inner loop (modexp)      -> BMI2/ADX unrolled
+//   Montgomery CIOS inner loop (modexp)      -> BMI2/ADX mulx/adcx/adox
 //
 // — with the portable scalar implementations remaining as the guaranteed
 // fallback on any CPU. Every kernel is bit-identical to its scalar
@@ -76,7 +76,7 @@ Capabilities capabilities();
 
 /// One-line rendering, e.g.
 /// "aes=aesni ctr=aesni-x4 cbc-mac=aesni cbc-dec=aesni-x4 sha1=sha-ni
-///  sha256=sha-ni crc32=pclmul modexp=bmi2 (forced_scalar=off)".
+///  sha256=sha-ni crc32=pclmul modexp=bmi2-adx (forced_scalar=off)".
 std::string capabilities_summary();
 
 }  // namespace mapsec::crypto::dispatch

@@ -88,11 +88,22 @@ class Montgomery {
                           MontStats* stats = nullptr) const;
 
  private:
+  /// The dispatched 64-bit-limb CIOS accumulation loop (the signature of
+  /// the crypto library's internal kernel table).
+  using Kernel = void (*)(const std::uint64_t* a, const std::uint64_t* b,
+                          const std::uint64_t* n, std::uint64_t n0inv,
+                          std::uint64_t* t, std::size_t kw);
+
+  /// The kernel for this modulus under the current dispatch mode (null in
+  /// radix-32 mode). Resolved once per operation, not per multiply.
+  Kernel kernel() const;
+
   /// out = REDC(a * b), all pointers kw_ limbs, out distinct from a and b.
-  void mul_raw(const std::uint64_t* a, const std::uint64_t* b,
+  /// `k` is kernel()'s result.
+  void mul_raw(Kernel k, const std::uint64_t* a, const std::uint64_t* b,
                std::uint64_t* out, MontStats* stats) const;
 
-  void mul_raw_w64(const std::uint64_t* a, const std::uint64_t* b,
+  void mul_raw_w64(Kernel k, const std::uint64_t* a, const std::uint64_t* b,
                    std::uint64_t* out, MontStats* stats) const;
   void mul_raw_w32(const std::uint64_t* a, const std::uint64_t* b,
                    std::uint64_t* out, MontStats* stats) const;

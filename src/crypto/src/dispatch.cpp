@@ -114,16 +114,9 @@ CrcPick pick_crc() {
   return {crc32_raw, "scalar"};
 }
 
-struct MontPick {
-  MontCiosFn fn;
-  const char* name;
-};
-
-MontPick pick_mont() {
+bool pick_mont_adx() {
   const CpuFeatures& f = cpu_features();
-  if (kHaveMontUnrolled && (!kMontNeedsBmi2 || (f.bmi2 && f.adx)))
-    return {kMontCiosUnrolled, kMontNeedsBmi2 ? "bmi2" : "unrolled"};
-  return {mont_cios_w64_scalar, "scalar"};
+  return kHaveMontAdx && f.bmi2 && f.adx;
 }
 
 struct Sha256MbPick {
@@ -171,9 +164,9 @@ const CrcPick& auto_crc() {
   static const CrcPick p = pick_crc();
   return p;
 }
-const MontPick& auto_mont() {
-  static const MontPick p = pick_mont();
-  return p;
+bool auto_mont_adx() {
+  static const bool adx = pick_mont_adx();
+  return adx;
 }
 const Sha256MbPick& auto_sha256_mb() {
   static const Sha256MbPick p = pick_sha256_mb();
@@ -206,9 +199,11 @@ Crc32Fn crc32_kernel() {
   return auto_crc().fn;
 }
 
-MontCiosFn mont_cios_w64() {
-  if (scalar_forced()) return mont_cios_w64_scalar;
-  return auto_mont().fn;
+MontCiosFn mont_cios_w64(std::size_t kw) {
+  if (!scalar_forced() && auto_mont_adx()) {
+    if (const MontCiosFn k = mont_cios_adx(kw)) return k;
+  }
+  return mont_cios_w64_scalar;
 }
 
 Sha256MbFn sha256_mb() {
@@ -238,7 +233,7 @@ Capabilities capabilities() {
   const char* crc_name = forced ? "scalar" : auto_crc().name;
   c.primitives.push_back(
       {"crc32", crc_name, std::string(crc_name) != "scalar"});
-  const char* mont_name = forced ? "scalar" : auto_mont().name;
+  const char* mont_name = !forced && auto_mont_adx() ? "bmi2-adx" : "scalar";
   c.primitives.push_back(
       {"modexp-cios", mont_name, std::string(mont_name) != "scalar"});
   const char* sha_mb_name = forced ? "scalar" : auto_sha256_mb().name;

@@ -93,16 +93,19 @@ Crc32Fn crc32_kernel();
 
 // ---------------------------------------------------------------------------
 // Montgomery CIOS inner loop. Computes the pre-conditional-subtraction
-// REDC(a*b) into t[0..kw] (t has kw+2 slots and is zeroed by the kernel);
-// the caller performs the final data-dependent subtraction and the
-// MontStats accounting, so backends cannot diverge in either the result
-// or the timing-attack-visible extra-reduction sequence.
+// REDC(a*b) into t[0..kw] and zeroes t[kw+1] (t has kw+2 slots); a and b
+// are below 2^(64 kw). The caller performs the final data-dependent
+// subtraction and the MontStats accounting, so backends cannot diverge in
+// either the result or the timing-attack-visible extra-reduction sequence.
 
 using MontCiosFn = void (*)(const std::uint64_t* a, const std::uint64_t* b,
                             const std::uint64_t* n, std::uint64_t n0inv,
                             std::uint64_t* t, std::size_t kw);
 
-MontCiosFn mont_cios_w64();
+/// The kernel for a kw-limb modulus. Montgomery resolves it once per
+/// exponentiation, so no multiply pays for the force-scalar check or the
+/// choice of width.
+MontCiosFn mont_cios_w64(std::size_t kw);
 
 // ---------------------------------------------------------------------------
 // Multi-buffer SHA-256: advance `nlanes` independent states lockstep by
@@ -183,9 +186,9 @@ extern const bool kHaveShaAvx2;
 extern const Crc32Fn kCrc32Pclmul;
 extern const bool kHavePclmul;
 
-extern const MontCiosFn kMontCiosUnrolled;
-extern const bool kHaveMontUnrolled;  // TU compiled at all
-extern const bool kMontNeedsBmi2;     // TU compiled with -mbmi2/-madx
+/// The BMI2/ADX kernel for 4, 8, 16 or 32 limbs; null for other widths.
+MontCiosFn mont_cios_adx(std::size_t kw);
+extern const bool kHaveMontAdx;
 
 extern const Sha256MbFn kSha256MbAvx2;
 extern const bool kHaveSha256Mb;

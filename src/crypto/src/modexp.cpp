@@ -118,9 +118,15 @@ BigInt Montgomery::from_raw(const std::uint64_t* limbs) const {
   return BigInt::from_limbs(std::move(w));
 }
 
-void Montgomery::mul_raw(const std::uint64_t* a, const std::uint64_t* b,
-                         std::uint64_t* out, MontStats* stats) const {
-  radix32_ ? mul_raw_w32(a, b, out, stats) : mul_raw_w64(a, b, out, stats);
+Montgomery::Kernel Montgomery::kernel() const {
+  return radix32_ ? nullptr : dispatch::mont_cios_w64(kw_);
+}
+
+void Montgomery::mul_raw(Kernel k, const std::uint64_t* a,
+                         const std::uint64_t* b, std::uint64_t* out,
+                         MontStats* stats) const {
+  radix32_ ? mul_raw_w32(a, b, out, stats)
+           : mul_raw_w64(k, a, b, out, stats);
 }
 
 // 32-bit radix CIOS for odd-limb moduli: each buffer element carries one
@@ -186,19 +192,19 @@ void Montgomery::mul_raw_w32(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
-void Montgomery::mul_raw_w64(const std::uint64_t* a, const std::uint64_t* b,
-                             std::uint64_t* out, MontStats* stats) const {
-  // CIOS Montgomery multiplication over 64-bit limbs with 128-bit
-  // accumulation; a, b and out are exactly kw_ limbs, the accumulator is
-  // the preallocated scratch. The accumulation loop is dispatched (the
-  // unrolled BMI2 kernel for common widths, the scalar kernel otherwise);
-  // both produce the identical pre-subtraction value, and the final
-  // data-dependent subtraction below stays in one place so the
-  // extra-reduction statistics the timing attack consumes cannot drift
-  // between backends.
+void Montgomery::mul_raw_w64(Kernel k, const std::uint64_t* a,
+                             const std::uint64_t* b, std::uint64_t* out,
+                             MontStats* stats) const {
+  // CIOS Montgomery multiplication over 64-bit limbs; a, b and out are
+  // exactly kw_ limbs, the accumulator is the preallocated scratch. The
+  // accumulation loop is dispatched (the BMI2/ADX kernel for 4/8/16/32
+  // limbs, the scalar kernel otherwise); both produce the identical
+  // pre-subtraction value, and the final data-dependent subtraction below
+  // stays in one place so the extra-reduction statistics the timing
+  // attack consumes cannot drift between backends.
   std::uint64_t* t = scratch_.data();
   const std::uint64_t* nw = n_limbs_.data();
-  dispatch::mont_cios_w64()(a, b, nw, n0inv_, t, kw_);
+  k(a, b, nw, n0inv_, t, kw_);
   if (stats) ++stats->mults;
 
   // Final conditional subtraction (the data-dependent "extra reduction"
@@ -234,7 +240,7 @@ BigInt Montgomery::mul(const BigInt& a, const BigInt& b,
   std::uint64_t* out = bw + kw_;
   normalize_into(a, aw);
   normalize_into(b, bw);
-  mul_raw(aw, bw, out, stats);
+  mul_raw(kernel(), aw, bw, out, stats);
   return from_raw(out);
 }
 
@@ -245,6 +251,7 @@ BigInt Montgomery::from_mont(const BigInt& x) const { return mul(x, BigInt(1)); 
 BigInt Montgomery::exp(const BigInt& base, const BigInt& e, MontStats* stats,
                        MontOpSequence* seq) const {
   if (e.is_zero()) return BigInt(1) % n_;
+  const Kernel k = kernel();
 
   std::vector<std::uint64_t> ws(3 * kw_);
   std::uint64_t* bm = ws.data();
@@ -252,12 +259,13 @@ BigInt Montgomery::exp(const BigInt& base, const BigInt& e, MontStats* stats,
   std::uint64_t* tmp = acc + kw_;
 
   normalize_into(base % n_, tmp);
-  mul_raw(tmp, rr_limbs_.data(), bm, nullptr);  // bm = base in Montgomery form
+  // bm = base in Montgomery form
+  mul_raw(k, tmp, rr_limbs_.data(), bm, nullptr);
   std::memcpy(acc, bm, kw_ * sizeof(std::uint64_t));
 
   const std::size_t bits = e.bit_length();
   for (std::size_t i = bits - 1; i-- > 0;) {
-    mul_raw(acc, acc, tmp, stats);
+    mul_raw(k, acc, acc, tmp, stats);
     std::swap(acc, tmp);
     if (stats) {
       ++stats->squares;
@@ -265,18 +273,19 @@ BigInt Montgomery::exp(const BigInt& base, const BigInt& e, MontStats* stats,
     }
     if (seq) seq->push_back(MontOp::kSquare);
     if (e.bit(i)) {
-      mul_raw(acc, bm, tmp, stats);
+      mul_raw(k, acc, bm, tmp, stats);
       std::swap(acc, tmp);
       if (seq) seq->push_back(MontOp::kMultiply);
     }
   }
-  mul_raw(acc, one_limbs_.data(), tmp, nullptr);  // leave Montgomery form
+  mul_raw(k, acc, one_limbs_.data(), tmp, nullptr);  // leave Montgomery form
   return from_raw(tmp);
 }
 
 BigInt Montgomery::exp_ladder(const BigInt& base, const BigInt& e,
                               MontStats* stats, MontOpSequence* seq) const {
   if (e.is_zero()) return BigInt(1) % n_;
+  const Kernel k = kernel();
 
   std::vector<std::uint64_t> ws(4 * kw_);
   std::uint64_t* bm = ws.data();
@@ -285,7 +294,7 @@ BigInt Montgomery::exp_ladder(const BigInt& base, const BigInt& e,
   std::uint64_t* tmp = r1 + kw_;
 
   normalize_into(base % n_, tmp);
-  mul_raw(tmp, rr_limbs_.data(), bm, nullptr);
+  mul_raw(k, tmp, rr_limbs_.data(), bm, nullptr);
 
   // Montgomery ladder: invariant r1 = r0 * base (in the exponent sense);
   // every step does exactly one multiply and one square, in that order,
@@ -294,14 +303,14 @@ BigInt Montgomery::exp_ladder(const BigInt& base, const BigInt& e,
   std::memcpy(r1, bm, kw_ * sizeof(std::uint64_t));
   for (std::size_t i = e.bit_length(); i-- > 0;) {
     if (e.bit(i)) {
-      mul_raw(r0, r1, tmp, stats);
+      mul_raw(k, r0, r1, tmp, stats);
       std::memcpy(r0, tmp, kw_ * sizeof(std::uint64_t));
-      mul_raw(r1, r1, tmp, stats);
+      mul_raw(k, r1, r1, tmp, stats);
       std::memcpy(r1, tmp, kw_ * sizeof(std::uint64_t));
     } else {
-      mul_raw(r0, r1, tmp, stats);
+      mul_raw(k, r0, r1, tmp, stats);
       std::memcpy(r1, tmp, kw_ * sizeof(std::uint64_t));
-      mul_raw(r0, r0, tmp, stats);
+      mul_raw(k, r0, r0, tmp, stats);
       std::memcpy(r0, tmp, kw_ * sizeof(std::uint64_t));
     }
     if (stats) {
@@ -313,13 +322,14 @@ BigInt Montgomery::exp_ladder(const BigInt& base, const BigInt& e,
       seq->push_back(MontOp::kSquare);
     }
   }
-  mul_raw(r0, one_limbs_.data(), tmp, nullptr);
+  mul_raw(k, r0, one_limbs_.data(), tmp, nullptr);
   return from_raw(tmp);
 }
 
 BigInt Montgomery::exp_fixed_window(const BigInt& base, const BigInt& e,
                                     MontStats* stats) const {
   if (e.is_zero()) return BigInt(1) % n_;
+  const Kernel k = kernel();
 
   constexpr std::size_t kWindowBits = 4;
   constexpr std::size_t kTableSize = 1u << kWindowBits;
@@ -334,10 +344,10 @@ BigInt Montgomery::exp_fixed_window(const BigInt& base, const BigInt& e,
   std::uint64_t* sel = tmp + kw_;
 
   normalize_into(base % n_, tmp);
-  mul_raw(tmp, rr_limbs_.data(), table.data() + kw_, nullptr);  // base^1
+  mul_raw(k, tmp, rr_limbs_.data(), table.data() + kw_, nullptr);  // b^1
   normalize_into(one_mont_, table.data());                      // base^0
   for (std::size_t w = 2; w < kTableSize; ++w)
-    mul_raw(table.data() + (w - 1) * kw_, table.data() + kw_,
+    mul_raw(k, table.data() + (w - 1) * kw_, table.data() + kw_,
             table.data() + w * kw_, nullptr);
 
   const auto select_ct = [&](std::uint32_t w) {
@@ -368,7 +378,7 @@ BigInt Montgomery::exp_fixed_window(const BigInt& base, const BigInt& e,
   std::memcpy(acc, sel, kw_ * sizeof(std::uint64_t));
   for (std::size_t wi = windows - 1; wi-- > 0;) {
     for (std::size_t s = 0; s < kWindowBits; ++s) {
-      mul_raw(acc, acc, tmp, stats);
+      mul_raw(k, acc, acc, tmp, stats);
       std::swap(acc, tmp);
       if (stats) {
         ++stats->squares;
@@ -376,10 +386,10 @@ BigInt Montgomery::exp_fixed_window(const BigInt& base, const BigInt& e,
       }
     }
     select_ct(window_at(wi));
-    mul_raw(acc, sel, tmp, stats);
+    mul_raw(k, acc, sel, tmp, stats);
     std::swap(acc, tmp);
   }
-  mul_raw(acc, one_limbs_.data(), tmp, nullptr);
+  mul_raw(k, acc, one_limbs_.data(), tmp, nullptr);
   return from_raw(tmp);
 }
 

@@ -1,6 +1,7 @@
 #include "mapsec/crypto/prime.hpp"
 
 #include <array>
+#include <vector>
 
 #include "mapsec/crypto/modexp.hpp"
 
@@ -23,11 +24,27 @@ constexpr std::array<std::uint32_t, 168> kSmallPrimes = {
     811, 821, 823, 827, 829, 839, 853, 857, 859, 863, 877, 881, 883, 887,
     907, 911, 919, 929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997};
 
+// Same verdicts, in the same prime order, as testing n % p for each p in
+// turn, but from word-level remainders: consecutive primes are grouped
+// while their product fits 32 bits, n is reduced by the product one
+// 32-bit limb at a time, and each prime then divides that remainder.
 bool passes_trial_division(const BigInt& n) {
-  for (const std::uint32_t p : kSmallPrimes) {
-    const BigInt bp(p);
-    if (n == bp) return true;
-    if ((n % bp).is_zero()) return false;
+  const std::vector<std::uint32_t>& w = n.limbs();
+  // n itself when it fits one limb; otherwise 0, which equals no prime.
+  const std::uint64_t small = w.size() == 1 ? w[0] : 0;
+  std::size_t i = 0;
+  while (i < kSmallPrimes.size()) {
+    std::uint64_t m = kSmallPrimes[i];
+    std::size_t end = i + 1;
+    while (end < kSmallPrimes.size() && m * kSmallPrimes[end] <= 0xFFFFFFFFu)
+      m *= kSmallPrimes[end++];
+    std::uint64_t r = 0;
+    for (std::size_t k = w.size(); k-- > 0;) r = ((r << 32) | w[k]) % m;
+    for (; i < end; ++i) {
+      const std::uint32_t p = kSmallPrimes[i];
+      if (small == p) return true;
+      if (r % p == 0) return false;
+    }
   }
   return true;
 }
@@ -49,21 +66,27 @@ bool is_probably_prime(const BigInt& n, Rng& rng, int rounds) {
     ++r;
   }
 
+  // The squaring loop runs in Montgomery form: 1 and n-1 become R and
+  // n-R (mod n), and every product stays fully reduced, so comparing
+  // residues decides exactly as comparing x itself would.
   const Montgomery mont(n);
+  const BigInt one_m = mont.to_mont(BigInt(1));
+  const BigInt minus_one_m = mont.to_mont(n_minus_1);
   const BigInt two(2);
   for (int round = 0; round < rounds; ++round) {
     // Base in [2, n-2].
     const BigInt a = two + BigInt::random_below(rng, n - BigInt(3));
-    BigInt x = mont.exp(a, d);
+    const BigInt x = mont.exp(a, d);
     if (x == BigInt(1) || x == n_minus_1) continue;
+    BigInt xm = mont.to_mont(x);
     bool composite = true;
     for (std::size_t i = 1; i < r; ++i) {
-      x = (x * x) % n;
-      if (x == n_minus_1) {
+      xm = mont.mul(xm, xm);
+      if (xm == minus_one_m) {
         composite = false;
         break;
       }
-      if (x == BigInt(1)) return false;  // nontrivial sqrt of 1
+      if (xm == one_m) return false;  // nontrivial sqrt of 1
     }
     if (composite) return false;
   }

@@ -68,7 +68,7 @@ void random_below(std::mt19937_64& rng, const std::vector<u64>& n, u64* out) {
 
 void check_width(std::size_t kw, std::size_t triples) {
   AutoBackend scope;
-  const dispatch::MontCiosFn fast = dispatch::mont_cios_w64();
+  const dispatch::MontCiosFn fast = dispatch::mont_cios_w64(kw);
   std::mt19937_64 rng(0xC105u + kw);
   std::vector<u64> a(kw), b(kw), t_fast(kw + 2), t_ref(kw + 2);
   std::vector<u64> n;
