@@ -25,6 +25,7 @@ crypto::Bytes p_hash(crypto::ConstBytes secret, crypto::ConstBytes seed,
     prf.update(seed);
     prf.finish_into(chunk);
     out.insert(out.end(), chunk, chunk + H::kDigestSize);
+    if (out.size() >= out_len) break;  // A(i+1) would go unused
     prf.reset();
     prf.update(crypto::ConstBytes{a, H::kDigestSize});
     prf.finish_into(a);  // A(i+1)
