@@ -54,9 +54,11 @@ class Reactor {
   void add_fd(int fd, std::uint32_t events,
               std::function<void(std::uint32_t)> on_event);
   void modify_fd(int fd, std::uint32_t events);
-  /// Deregister `fd`. Safe from inside its own (or a sibling's) event
-  /// callback: the entry is marked dead and skipped for the rest of the
-  /// dispatch round. Does not close the fd.
+  /// Forget `fd`, which the caller closes next. Safe from inside its own
+  /// (or a sibling's) event callback: the entry is marked dead and skipped
+  /// for the rest of the dispatch round. Issues no EPOLL_CTL_DEL: close()
+  /// removes a socket from the epoll set once no other descriptor refers
+  /// to it, and the bearer's sockets are SOCK_CLOEXEC and never dup'd.
   void remove_fd(int fd);
 
   /// Queue `target` for one flush_now() at the end of the current poll

@@ -140,7 +140,9 @@ class SocketEndpoint final : public Flushable {
   void send_frame(crypto::ConstBytes payload);
   void on_event(std::uint32_t mask);
   void finish_connect(std::uint32_t mask);
-  void handle_readable();
+  /// Read and parse until a short read, or until EOF or an error when
+  /// `to_eof` (the event reported a hangup).
+  void handle_readable(bool to_eof);
   void parse_frames();
   void update_interest();
   void fail(const std::string& reason);

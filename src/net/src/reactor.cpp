@@ -53,7 +53,6 @@ void Reactor::remove_fd(int fd) {
   if (it == fds_.end()) return;
   it->second->alive = false;  // events already harvested this round skip it
   fds_.erase(it);
-  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 void Reactor::defer_flush(Flushable* target) { deferred_.push_back(target); }

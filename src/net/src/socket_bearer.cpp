@@ -252,7 +252,7 @@ void SocketEndpoint::on_event(std::uint32_t mask) {
     finish_connect(mask);
     return;
   }
-  if (mask & EPOLLIN) handle_readable();
+  if (mask & EPOLLIN) handle_readable((mask & (EPOLLERR | EPOLLHUP)) != 0);
   if (!open_) return;
   if (mask & EPOLLOUT) flush_now();
   if (!open_) return;
@@ -281,15 +281,17 @@ void SocketEndpoint::finish_connect(std::uint32_t mask) {
   if (!tx_q_.empty()) flush_now();
 }
 
-void SocketEndpoint::handle_readable() {
+void SocketEndpoint::handle_readable(bool to_eof) {
   for (;;) {
     if (reads_paused_) return;
     IoSlice regions[2];
     std::size_t count = rx_q_.writable(regions);
     iovec iov[2];
+    std::size_t room = 0;
     for (std::size_t i = 0; i < count; ++i) {
       iov[i].iov_base = regions[i].data;
       iov[i].iov_len = regions[i].len;
+      room += regions[i].len;
     }
     ssize_t n = readv(fd_, iov, static_cast<int>(count));
     if (n < 0) {
@@ -314,6 +316,10 @@ void SocketEndpoint::handle_readable() {
     rx_q_.commit(static_cast<std::size_t>(n));
     parse_frames();
     if (!open_) return;
+    // A short read took everything the socket held, so another readv
+    // would only say EAGAIN; level-triggered epoll reports whatever
+    // arrives next. After a hangup, read on to the EOF or error instead.
+    if (!to_eof && static_cast<std::size_t>(n) < room) return;
   }
 }
 

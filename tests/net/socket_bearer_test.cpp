@@ -1,6 +1,7 @@
 // Real-socket bearer tests: loopback echo, send coalescing, partial-
 // write backpressure, hard-reset containment, writes to a reset peer,
-// arena recycling, paused accepts. Every socket test runtime-probes
+// reads split across turns and EOF after a short read, arena recycling,
+// paused accepts. Every socket test runtime-probes
 // loopback TCP and skips visibly when the sandbox has no network stack.
 // The reactor's timer precision needs no socket.
 #include <arpa/inet.h>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "mapsec/net/frame_codec.hpp"
 #include "mapsec/net/link.hpp"
 #include "mapsec/net/socket_bearer.hpp"
 
@@ -260,6 +262,63 @@ TEST(SocketBearer, WriteToResetPeerFailsTheLinkNotTheProcess) {
                                     2'000'000));
   EXPECT_NE(link_error.find("bearer:"), std::string::npos) << link_error;
   EXPECT_FALSE(server_ep.open());
+}
+
+// The bearer stops reading after a short read and relies on
+// level-triggered epoll to report what arrives later. A raw peer writes
+// one frame in two parts with a reactor turn between them, then a partial
+// frame followed by FIN: the split frame must reassemble, and the EOF
+// behind the short read must still fail the connection.
+TEST(SocketBearer, SplitFrameAndEofAfterShortReadAreSeen) {
+  REQUIRE_SOCKETS();
+  EchoRig rig;
+  rig.echo = false;
+  const int peer = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(peer, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(rig.listener->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(connect(peer, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_TRUE(rig.reactor.run_until(
+      [&rig] { return !rig.accepted.empty(); }, 5'000'000));
+  SocketEndpoint& server_ep = *rig.accepted.front();
+  std::vector<Bytes> got;
+  server_ep.rx().set_receiver([&got](ConstBytes frame) {
+    got.emplace_back(frame.begin(), frame.end());
+  });
+  std::string error;
+  server_ep.rx().set_on_channel_error(
+      [&error](const std::string& reason) { error = reason; });
+
+  const Bytes payload = patterned(3000, 7);
+  Bytes wire;
+  FrameCodec::append_frame(wire, payload);
+  const std::size_t half = wire.size() / 2;
+  ASSERT_EQ(write(peer, wire.data(), half), static_cast<ssize_t>(half));
+  ASSERT_TRUE(rig.reactor.run_until(
+      [&server_ep, half] {
+        return server_ep.stats().bytes_received == half;
+      },
+      5'000'000));
+  EXPECT_TRUE(got.empty());
+  const std::size_t rest = wire.size() - half;
+  ASSERT_EQ(write(peer, wire.data() + half, rest),
+            static_cast<ssize_t>(rest));
+  ASSERT_TRUE(rig.reactor.run_until([&got] { return !got.empty(); },
+                                    5'000'000));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+
+  // Three bytes of a header, then FIN.
+  ASSERT_EQ(write(peer, wire.data(), 3), 3);
+  ASSERT_EQ(close(peer), 0);
+  ASSERT_TRUE(rig.reactor.run_until([&server_ep] { return !server_ep.open(); },
+                                    5'000'000));
+  EXPECT_EQ(error, "peer closed connection");
+  EXPECT_EQ(server_ep.stats().bytes_received, wire.size() + 3);
+  EXPECT_EQ(got.size(), 1u);
 }
 
 TEST(SocketBearer, ArenaSteadyStateAcrossConnectionChurn) {
