@@ -89,33 +89,31 @@ void check_ccm_params(const BlockCipher& cipher, ConstBytes nonce,
 /// whole number of blocks. Shared by the single-op and batched paths.
 Bytes ccm_mac_input(ConstBytes nonce, ConstBytes aad, ConstBytes plaintext,
                     std::size_t tag_len) {
-  Bytes blocks;
+  if (aad.size() >= 0xFF00) throw std::invalid_argument("CCM: AAD too long");
+  const auto padded = [](std::size_t n) { return (n + 15) / 16 * 16; };
+  // AAD: 2-byte length prefix (for lengths < 0xFF00), zero-padded.
+  const std::size_t aad_bytes = aad.empty() ? 0 : padded(2 + aad.size());
+  // Sized once and filled in place (no push_back/insert sequence, which
+  // GCC 12's -Warray-bounds misreads after inlining).
+  Bytes blocks(16 + aad_bytes + padded(plaintext.size()), 0);
+
   // B0: flags | nonce | payload length.
-  Bytes b0(16, 0);
-  b0[0] = static_cast<std::uint8_t>(
+  blocks[0] = static_cast<std::uint8_t>(
       (aad.empty() ? 0 : 0x40) |
       (((tag_len - 2) / 2) << 3) | (kL - 1));
-  std::copy(nonce.begin(), nonce.end(), b0.begin() + 1);
-  b0[14] = static_cast<std::uint8_t>(plaintext.size() >> 8);
-  b0[15] = static_cast<std::uint8_t>(plaintext.size());
-  blocks.insert(blocks.end(), b0.begin(), b0.end());
+  std::copy(nonce.begin(), nonce.end(), blocks.begin() + 1);
+  blocks[14] = static_cast<std::uint8_t>(plaintext.size() >> 8);
+  blocks[15] = static_cast<std::uint8_t>(plaintext.size());
 
-  // AAD: 2-byte length prefix (for lengths < 0xFF00), zero-padded.
   if (!aad.empty()) {
-    if (aad.size() >= 0xFF00)
-      throw std::invalid_argument("CCM: AAD too long");
-    Bytes a;
-    a.push_back(static_cast<std::uint8_t>(aad.size() >> 8));
-    a.push_back(static_cast<std::uint8_t>(aad.size()));
-    a.insert(a.end(), aad.begin(), aad.end());
-    a.resize((a.size() + 15) / 16 * 16, 0);
-    blocks.insert(blocks.end(), a.begin(), a.end());
+    blocks[16] = static_cast<std::uint8_t>(aad.size() >> 8);
+    blocks[17] = static_cast<std::uint8_t>(aad.size());
+    std::copy(aad.begin(), aad.end(), blocks.begin() + 18);
   }
 
   // Payload, zero-padded.
-  Bytes p(plaintext.begin(), plaintext.end());
-  p.resize((p.size() + 15) / 16 * 16, 0);
-  blocks.insert(blocks.end(), p.begin(), p.end());
+  std::copy(plaintext.begin(), plaintext.end(),
+            blocks.begin() + static_cast<std::ptrdiff_t>(16 + aad_bytes));
   return blocks;
 }
 
