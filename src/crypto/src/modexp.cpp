@@ -208,25 +208,18 @@ void Montgomery::mul_raw_w64(Kernel k, const std::uint64_t* a,
   if (stats) ++stats->mults;
 
   // Final conditional subtraction (the data-dependent "extra reduction"
-  // the timing attack measures): result = t - n when t >= n.
-  bool ge = t[kw_] != 0;
-  if (!ge) {
-    ge = true;  // assume equal until a differing limb decides
-    for (std::size_t j = kw_; j-- > 0;) {
-      if (t[j] != nw[j]) {
-        ge = t[j] > nw[j];
-        break;
-      }
-    }
+  // the timing attack measures): result = t - n when t >= n. The kernel
+  // leaves t < R + n, so t >= n exactly when t's top word is set or the
+  // kw_-limb difference t - n does not borrow: one pass computes the
+  // difference and decides.
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < kw_; ++j) {
+    const std::uint64_t d0 = t[j] - nw[j];
+    const std::uint64_t d1 = d0 - borrow;
+    borrow = static_cast<std::uint64_t>((t[j] < nw[j]) | (d0 < borrow));
+    out[j] = d1;
   }
-  if (ge) {
-    std::uint64_t borrow = 0;
-    for (std::size_t j = 0; j < kw_; ++j) {
-      const std::uint64_t d0 = t[j] - nw[j];
-      const std::uint64_t d1 = d0 - borrow;
-      borrow = static_cast<std::uint64_t>((t[j] < nw[j]) | (d0 < borrow));
-      out[j] = d1;
-    }
+  if (t[kw_] != 0 || borrow == 0) {
     if (stats) ++stats->extra_reductions;
   } else {
     std::memcpy(out, t, kw_ * sizeof(std::uint64_t));
