@@ -114,11 +114,6 @@ CrcPick pick_crc() {
   return {crc32_raw, "scalar"};
 }
 
-bool pick_mont_adx() {
-  const CpuFeatures& f = cpu_features();
-  return kHaveMontAdx && f.bmi2 && f.adx;
-}
-
 struct Sha256MbPick {
   Sha256MbFn fn;
   const char* name;
@@ -165,7 +160,8 @@ const CrcPick& auto_crc() {
   return p;
 }
 bool auto_mont_adx() {
-  static const bool adx = pick_mont_adx();
+  static const bool adx =
+      kHaveMontAdx && cpu_features().bmi2 && cpu_features().adx;
   return adx;
 }
 const Sha256MbPick& auto_sha256_mb() {
