@@ -76,7 +76,7 @@ Capabilities capabilities();
 
 /// One-line rendering, e.g.
 /// "aes=aesni ctr=aesni-x4 cbc-mac=aesni cbc-dec=aesni-x4 sha1=sha-ni
-///  sha256=sha-ni crc32=pclmul modexp=bmi2-adx (forced_scalar=off)".
+///  sha256=sha-ni crc32=pclmul modexp=bmi2 (forced_scalar=off)".
 std::string capabilities_summary();
 
 }  // namespace mapsec::crypto::dispatch

@@ -229,7 +229,7 @@ Capabilities capabilities() {
   const char* crc_name = forced ? "scalar" : auto_crc().name;
   c.primitives.push_back(
       {"crc32", crc_name, std::string(crc_name) != "scalar"});
-  const char* mont_name = !forced && auto_mont_adx() ? "bmi2-adx" : "scalar";
+  const char* mont_name = !forced && auto_mont_adx() ? "bmi2" : "scalar";
   c.primitives.push_back(
       {"modexp-cios", mont_name, std::string(mont_name) != "scalar"});
   const char* sha_mb_name = forced ? "scalar" : auto_sha256_mb().name;
