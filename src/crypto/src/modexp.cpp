@@ -252,8 +252,7 @@ BigInt Montgomery::exp(const BigInt& base, const BigInt& e, MontStats* stats,
   std::uint64_t* tmp = acc + kw_;
 
   normalize_into(base % n_, tmp);
-  // bm = base in Montgomery form
-  mul_raw(k, tmp, rr_limbs_.data(), bm, nullptr);
+  mul_raw(k, tmp, rr_limbs_.data(), bm, nullptr);  // bm = base * R mod n
   std::memcpy(acc, bm, kw_ * sizeof(std::uint64_t));
 
   const std::size_t bits = e.bit_length();
@@ -337,8 +336,8 @@ BigInt Montgomery::exp_fixed_window(const BigInt& base, const BigInt& e,
   std::uint64_t* sel = tmp + kw_;
 
   normalize_into(base % n_, tmp);
-  mul_raw(k, tmp, rr_limbs_.data(), table.data() + kw_, nullptr);  // b^1
-  normalize_into(one_mont_, table.data());                      // base^0
+  mul_raw(k, tmp, rr_limbs_.data(), table.data() + kw_, nullptr);  // base^1
+  normalize_into(one_mont_, table.data());                         // base^0
   for (std::size_t w = 2; w < kTableSize; ++w)
     mul_raw(k, table.data() + (w - 1) * kw_, table.data() + kw_,
             table.data() + w * kw_, nullptr);
