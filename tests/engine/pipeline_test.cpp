@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <iterator>
 #include <map>
 
+#include "mapsec/crypto/ccm.hpp"
+#include "mapsec/crypto/sha256.hpp"
 #include "mapsec/engine/packet_pipeline.hpp"
+#include "mapsec/protocol/suites.hpp"
 
 namespace mapsec::engine {
 namespace {
@@ -280,6 +284,147 @@ TEST(PipelineTest, CcmpRejectsTamperedAad) {
   const auto r = p->run_batch({in});
   EXPECT_FALSE(r[0].accepted);
   EXPECT_EQ(r[0].drop_reason, "CCM auth failure");
+}
+
+// Golden CCMP batch. One run_batch over eight AES SAs mixes ragged
+// outbound and inbound CCMP jobs with every drop the two programs can
+// reach from the wire, plus an oversized packet and an unknown program.
+// The digest covers every field of every result and each SA's final
+// replay state, so any change to what the pipeline computes (nonce draw
+// order, cycle charges, drop points, replay updates) moves it.
+constexpr std::uint32_t kGoldenSas = 8;
+
+std::size_t golden_len(std::size_t k) {
+  if (k % 23 == 0) return 0;
+  if (k == 1) return 1024;
+  return (k * 389 + 17) % 1025;
+}
+
+Bytes golden_body(std::size_t k) {
+  Bytes b(golden_len(k));
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = static_cast<std::uint8_t>(k * 31 + i * 7);
+  return b;
+}
+
+/// A CCMP-in packet for `sa`, sealed outside the pipeline with a fixed
+/// nonce: header | nonce | ciphertext | tag.
+Bytes golden_inbound(const EngineSa& sa, std::uint32_t seq, std::size_t k) {
+  const auto cipher = protocol::make_suite_cipher(sa.cipher, sa.enc_key);
+  Bytes packet = make_header(sa.spi, seq);
+  const Bytes header = packet;
+  Bytes nonce(crypto::kCcmNonceLen, static_cast<std::uint8_t>(k));
+  nonce[0] = static_cast<std::uint8_t>(seq);
+  packet.insert(packet.end(), nonce.begin(), nonce.end());
+  const Bytes sealed =
+      crypto::ccm_seal(*cipher, nonce, header, golden_body(k), 8);
+  packet.insert(packet.end(), sealed.begin(), sealed.end());
+  return packet;
+}
+
+std::string golden_digest(std::size_t workers) {
+  auto p = std::make_unique<PacketPipeline>(EngineProfile{}, workers, 0x60);
+  p->load_program("ccmp-in", ccmp_inbound_program());
+  p->load_program("ccmp-out", ccmp_outbound_program());
+  for (std::uint32_t id = 0; id < kGoldenSas; ++id) {
+    crypto::HmacDrbg keys(0x601D0000ull ^ id);
+    EngineSa sa;
+    sa.spi = 0x2000 + id;
+    sa.cipher = protocol::BulkCipher::kAes128;
+    sa.enc_key = keys.bytes(16);
+    p->add_sa(id, sa);
+  }
+
+  std::vector<PipelineJob> jobs;
+  const auto add = [&](std::uint32_t sa_id, const std::string& program,
+                       Bytes packet) {
+    jobs.push_back({sa_id, program, std::move(packet)});
+  };
+  const auto outbound = [&](std::uint32_t sa_id, std::uint32_t seq,
+                            std::size_t k) {
+    Bytes packet = make_header(0x2000 + sa_id, seq);
+    const Bytes body = golden_body(k);
+    packet.insert(packet.end(), body.begin(), body.end());
+    add(sa_id, "ccmp-out", std::move(packet));
+  };
+  std::size_t k = 0;
+  // A run of sixteen outbound jobs, two per SA.
+  for (std::uint32_t seq = 1; seq <= 2; ++seq)
+    for (std::uint32_t id = 0; id < kGoldenSas; ++id) outbound(id, seq, k++);
+  // A run of sixteen good inbound jobs, with the bad ones mixed in.
+  for (std::uint32_t seq = 1; seq <= 2; ++seq)
+    for (std::uint32_t id = 0; id < kGoldenSas; ++id)
+      add(id, "ccmp-in", golden_inbound(p->sa(id), seq, k++));
+  Bytes tampered = golden_inbound(p->sa(2), 3, k++);
+  tampered[8 + crypto::kCcmNonceLen] ^= 0x20;
+  add(2, "ccmp-in", std::move(tampered));                 // CCM auth failure
+  add(5, "ccmp-in", golden_inbound(p->sa(5), 1, 21));     // replay
+  add(6, "ccmp-in", golden_inbound(p->sa(4), 4, k++));    // SPI mismatch
+  add(1, "ccmp-in", Bytes(20, 0x5C));                     // short packet
+  add(3, "ccmp-out", make_header(0x2003, 9));             // empty body
+  // Interleaved directions, split by an oversized packet and an unknown
+  // program (both dropped by the job, never fatal to the batch).
+  for (std::uint32_t id = 0; id < kGoldenSas; ++id) {
+    outbound(id, 3, k++);
+    add(id, "ccmp-in", golden_inbound(p->sa(id), 5, k++));
+    if (id == 3) {
+      Bytes big = make_header(0x2003, 10);
+      big.resize(8 + 0x10000, 0xB1);
+      add(3, "ccmp-out", std::move(big));
+    }
+    if (id == 6) add(6, "ccmp-bogus", Bytes(64, 0x11));
+  }
+
+  const std::vector<PipelineResult> results = p->run_batch(jobs);
+  EXPECT_EQ(results.size(), jobs.size());
+  std::map<std::string, int> reasons;
+  std::size_t accepted = 0;
+  crypto::Sha256 h;
+  const auto put = [&](crypto::ConstBytes b) {
+    std::uint8_t len[8];
+    crypto::store_be64(len, b.size());
+    h.update({len, 8});
+    h.update(b);
+  };
+  for (const PipelineResult& r : results) {
+    r.accepted ? ++accepted : ++reasons[r.drop_reason];
+    const std::uint8_t ok = r.accepted ? 1 : 0;
+    h.update({&ok, 1});
+    put(r.header);
+    put(r.payload);
+    put(crypto::to_bytes(r.drop_reason));
+    std::uint64_t cycles_bits = 0;
+    std::memcpy(&cycles_bits, &r.engine_cycles, sizeof cycles_bits);
+    std::uint8_t cycles[8];
+    crypto::store_be64(cycles, cycles_bits);
+    h.update({cycles, 8});
+  }
+  for (std::uint32_t id = 0; id < kGoldenSas; ++id) {
+    std::uint8_t replay[12];
+    crypto::store_be32(replay, p->sa(id).highest_seq);
+    crypto::store_be64(replay + 4, p->sa(id).window);
+    h.update({replay, 12});
+  }
+
+  // The golden would be worthless if the batch did not exercise what it
+  // claims to: every good job accepted, every bad one dropped for its
+  // own reason.
+  EXPECT_EQ(accepted, 16u + 16u + 1u + 2u * kGoldenSas);
+  EXPECT_EQ(reasons["CCM auth failure"], 1);
+  EXPECT_EQ(reasons["replay"], 1);
+  EXPECT_EQ(reasons["SPI mismatch"], 1);
+  EXPECT_EQ(reasons["short packet"], 1);
+  EXPECT_EQ(reasons["CCM: payload too long for L=2"], 1);
+  EXPECT_EQ(reasons["ProtocolEngine: unknown program ccmp-bogus"], 1);
+  EXPECT_EQ(reasons.size(), 6u);
+  return crypto::to_hex(h.finish());
+}
+
+TEST(PipelineGolden, CcmpBatchResults) {
+  const std::string golden =
+      "30dd69ea082d6dba1280ce575c833298ec0c62f03a3e732f0aa7064d3e6c4a00";
+  EXPECT_EQ(golden_digest(1), golden);
+  EXPECT_EQ(golden_digest(3), golden);
 }
 
 }  // namespace
