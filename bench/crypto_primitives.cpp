@@ -267,63 +267,6 @@ void BM_Rsa1024PrivateCrtCached(benchmark::State& state) {
   }
 }
 
-// Multi-buffer SHA-256: eight 4 KiB lanes hashed through one
-// sha256_many sweep (the AVX2 kernel runs all eight message schedules in
-// one pass). Bytes/s compares directly against BM_Sha256.
-void sha256_mb_bench(benchmark::State& state) {
-  std::vector<Bytes> msgs;
-  for (int i = 0; i < 8; ++i) msgs.push_back(test_data(4096 + i));
-  const std::vector<ConstBytes> views(msgs.begin(), msgs.end());
-  std::size_t total = 0;
-  for (const Bytes& m : msgs) total += m.size();
-  for (auto _ : state) {
-    std::vector<Bytes> digests = sha256_many(views);
-    benchmark::DoNotOptimize(digests.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(total));
-}
-
-void BM_Sha256Multibuf8(benchmark::State& state) { sha256_mb_bench(state); }
-void BM_Sha256Multibuf8Scalar(benchmark::State& state) {
-  ForceScalar scalar;
-  sha256_mb_bench(state);
-}
-
-// Multi-buffer CCM: eight 4 KiB records from different "connections"
-// (distinct keys and nonces) sealed through one ccm_seal_batch — the
-// CBC-MAC chains and CTR streams interleave across records. Bytes/s
-// compares against BM_AesCcmSeal.
-void ccm_seal_batch_bench(benchmark::State& state) {
-  HmacDrbg rng(14);
-  std::vector<BlockCipherAdapter<Aes>> ciphers;
-  std::vector<Bytes> nonces, aads, payloads;
-  ciphers.reserve(8);
-  for (int i = 0; i < 8; ++i) {
-    ciphers.push_back(BlockCipherAdapter<Aes>{Aes(rng.bytes(16))});
-    nonces.push_back(rng.bytes(kCcmNonceLen));
-    aads.push_back(rng.bytes(32));
-    payloads.push_back(test_data(4096));
-  }
-  std::vector<CcmSealOp> ops(8);
-  for (std::size_t i = 0; i < 8; ++i)
-    ops[i] = {&ciphers[i], nonces[i], aads[i], payloads[i], 8};
-  for (auto _ : state) {
-    std::vector<Bytes> sealed = ccm_seal_batch(ops);
-    benchmark::DoNotOptimize(sealed.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(8 * 4096));
-}
-
-void BM_AesCcmSealBatch8(benchmark::State& state) {
-  ccm_seal_batch_bench(state);
-}
-void BM_AesCcmSealBatch8Scalar(benchmark::State& state) {
-  ForceScalar scalar;
-  ccm_seal_batch_bench(state);
-}
-
 void BM_Rsa1024PrivateBlinded(benchmark::State& state) {
   HmacDrbg rng(6);
   const BigInt c = BigInt::random_below(rng, key1024().pub.n);
@@ -426,10 +369,6 @@ BENCHMARK(BM_Sha1Scalar);
 BENCHMARK(BM_Md5);
 BENCHMARK(BM_Sha256);
 BENCHMARK(BM_Sha256Scalar);
-BENCHMARK(BM_Sha256Multibuf8);
-BENCHMARK(BM_Sha256Multibuf8Scalar);
-BENCHMARK(BM_AesCcmSealBatch8);
-BENCHMARK(BM_AesCcmSealBatch8Scalar);
 BENCHMARK(BM_Crc32);
 BENCHMARK(BM_Crc32Scalar);
 BENCHMARK(BM_HmacSha1);

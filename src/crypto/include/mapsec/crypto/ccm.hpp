@@ -38,34 +38,4 @@ std::optional<Bytes> ccm_open(const BlockCipher& cipher, ConstBytes nonce,
                               ConstBytes aad, ConstBytes sealed,
                               std::size_t tag_len = 8);
 
-// ---- batched record transforms ---------------------------------------------
-//
-// Seal/open many records in one call: the CBC-MAC chains (serial within a
-// message) and CTR streams interleave across records through the
-// multi-buffer AES kernels. outputs[i] is byte-identical to the single-op
-// call on ops[i] — lanes whose cipher is not AES, or when the multi-buffer
-// backend is absent (forced scalar), simply take the single-op path.
-// Spans in the op structs must stay valid for the duration of the call.
-
-struct CcmSealOp {
-  const BlockCipher* cipher = nullptr;
-  ConstBytes nonce;
-  ConstBytes aad;
-  ConstBytes plaintext;
-  std::size_t tag_len = 8;
-};
-
-std::vector<Bytes> ccm_seal_batch(const std::vector<CcmSealOp>& ops);
-
-struct CcmOpenOp {
-  const BlockCipher* cipher = nullptr;
-  ConstBytes nonce;
-  ConstBytes aad;
-  ConstBytes sealed;
-  std::size_t tag_len = 8;
-};
-
-std::vector<std::optional<Bytes>> ccm_open_batch(
-    const std::vector<CcmOpenOp>& ops);
-
 }  // namespace mapsec::crypto

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "mapsec/crypto/bytes.hpp"
 
@@ -41,13 +40,5 @@ class Sha256 {
   std::size_t buf_len_ = 0;
   std::uint64_t total_len_ = 0;
 };
-
-/// Multi-buffer one-shot hashing: digest every message independently,
-/// with the compression rounds of all lanes interleaved (×8 AVX2 message
-/// schedules when the dispatcher selects them, per-lane scalar
-/// otherwise). digests[i] == Sha256::hash(msgs[i]) byte for byte — the
-/// batching is an instruction-scheduling transform, never an arithmetic
-/// one.
-std::vector<Bytes> sha256_many(const std::vector<ConstBytes>& msgs);
 
 }  // namespace mapsec::crypto

@@ -86,7 +86,7 @@ void check_ccm_params(const BlockCipher& cipher, ConstBytes nonce,
 }
 
 /// The authentication input: B0 | encoded AAD | padded payload — always a
-/// whole number of blocks. Shared by the single-op and batched paths.
+/// whole number of blocks.
 Bytes ccm_mac_input(ConstBytes nonce, ConstBytes aad, ConstBytes plaintext,
                     std::size_t tag_len) {
   if (aad.size() >= 0xFF00) throw std::invalid_argument("CCM: AAD too long");
@@ -172,167 +172,6 @@ std::optional<Bytes> ccm_open(const BlockCipher& cipher, ConstBytes nonce,
 
   if (!ct_equal(expected, sealed.subspan(clen))) return std::nullopt;
   return plaintext;
-}
-
-namespace {
-
-/// Lockstep multi-buffer CBC-MAC across ragged lane lengths. Every
-/// lane's input is a whole number of blocks (CCM MAC inputs always are);
-/// each pass absorbs the minimum remaining block count over the lanes
-/// still active, so short records drop out and the batch narrows.
-void cbc_mac_mb_ragged(const std::vector<dispatch::AesSchedule>& scheds,
-                       const std::vector<Bytes>& inputs,
-                       std::vector<Bytes>& states) {
-  const auto& mb = dispatch::aes_mb_kernels();
-  const std::size_t n = inputs.size();
-  std::vector<std::size_t> done(n, 0);
-  std::vector<dispatch::AesSchedule> sc;
-  std::vector<std::uint8_t*> st;
-  std::vector<const std::uint8_t*> dp;
-  for (;;) {
-    sc.clear();
-    st.clear();
-    dp.clear();
-    std::size_t step = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t rem = inputs[i].size() / 16 - done[i];
-      if (rem == 0) continue;
-      if (step == 0 || rem < step) step = rem;
-      sc.push_back(scheds[i]);
-      st.push_back(states[i].data());
-      dp.push_back(inputs[i].data() + 16 * done[i]);
-    }
-    if (sc.empty()) break;
-    mb.cbc_mac_mb(sc.data(), st.data(), dp.data(), sc.size(), step);
-    for (std::size_t i = 0; i < n; ++i)
-      if (inputs[i].size() / 16 - done[i] != 0) done[i] += step;
-  }
-}
-
-}  // namespace
-
-std::vector<Bytes> ccm_seal_batch(const std::vector<CcmSealOp>& ops) {
-  std::vector<Bytes> out(ops.size());
-  const auto& mb = dispatch::aes_mb_kernels();
-  // Lanes that can ride the multi-buffer kernels (an AES cipher and a
-  // non-null backend); everything else takes the single-op path, which
-  // is the same arithmetic byte for byte.
-  std::vector<std::size_t> lanes;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const CcmSealOp& op = ops[i];
-    check_ccm_params(*op.cipher, op.nonce, op.tag_len, op.plaintext.size());
-    if (op.cipher->as_aes() != nullptr && mb.cbc_mac_mb != nullptr &&
-        mb.ctr_xor_mb != nullptr) {
-      lanes.push_back(i);
-    } else {
-      out[i] =
-          ccm_seal(*op.cipher, op.nonce, op.aad, op.plaintext, op.tag_len);
-    }
-  }
-  if (lanes.empty()) return out;
-
-  const std::size_t n = lanes.size();
-  std::vector<dispatch::AesSchedule> scheds(n);
-  std::vector<Bytes> mac_in(n);
-  std::vector<Bytes> states(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const CcmSealOp& op = ops[lanes[k]];
-    scheds[k] = dispatch::enc_schedule(*op.cipher->as_aes());
-    mac_in[k] = ccm_mac_input(op.nonce, op.aad, op.plaintext, op.tag_len);
-    states[k].assign(16, 0);
-  }
-  cbc_mac_mb_ragged(scheds, mac_in, states);
-
-  // Payload CTR from counter 1, all lanes in one interleaved call.
-  std::vector<Bytes> counters(n);
-  std::vector<std::uint8_t*> ctr_ptrs(n);
-  std::vector<std::uint8_t*> data_ptrs(n);
-  std::vector<std::size_t> lens(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const CcmSealOp& op = ops[lanes[k]];
-    out[lanes[k]].assign(op.plaintext.begin(), op.plaintext.end());
-    counters[k] = ccm_counter_block(op.nonce, 1);
-    ctr_ptrs[k] = counters[k].data();
-    data_ptrs[k] = out[lanes[k]].data();
-    lens[k] = op.plaintext.size();
-  }
-  mb.ctr_xor_mb(scheds.data(), ctr_ptrs.data(), data_ptrs.data(), lens.data(),
-                n);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const CcmSealOp& op = ops[lanes[k]];
-    Bytes s0(16);
-    const Bytes a0 = ccm_counter_block(op.nonce, 0);
-    op.cipher->encrypt_block(a0.data(), s0.data());
-    for (std::size_t t = 0; t < op.tag_len; ++t)
-      out[lanes[k]].push_back(
-          static_cast<std::uint8_t>(states[k][t] ^ s0[t]));
-  }
-  return out;
-}
-
-std::vector<std::optional<Bytes>> ccm_open_batch(
-    const std::vector<CcmOpenOp>& ops) {
-  std::vector<std::optional<Bytes>> out(ops.size());
-  const auto& mb = dispatch::aes_mb_kernels();
-  std::vector<std::size_t> lanes;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const CcmOpenOp& op = ops[i];
-    if (op.sealed.size() < op.tag_len) continue;  // nullopt, as single-op
-    check_ccm_params(*op.cipher, op.nonce, op.tag_len,
-                     op.sealed.size() - op.tag_len);
-    if (op.cipher->as_aes() != nullptr && mb.cbc_mac_mb != nullptr &&
-        mb.ctr_xor_mb != nullptr) {
-      lanes.push_back(i);
-    } else {
-      out[i] = ccm_open(*op.cipher, op.nonce, op.aad, op.sealed, op.tag_len);
-    }
-  }
-  if (lanes.empty()) return out;
-
-  const std::size_t n = lanes.size();
-  std::vector<dispatch::AesSchedule> scheds(n);
-  std::vector<Bytes> plaintexts(n);
-  std::vector<Bytes> counters(n);
-  std::vector<std::uint8_t*> ctr_ptrs(n);
-  std::vector<std::uint8_t*> data_ptrs(n);
-  std::vector<std::size_t> lens(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const CcmOpenOp& op = ops[lanes[k]];
-    const std::size_t clen = op.sealed.size() - op.tag_len;
-    scheds[k] = dispatch::enc_schedule(*op.cipher->as_aes());
-    plaintexts[k].assign(op.sealed.begin(),
-                         op.sealed.begin() + static_cast<std::ptrdiff_t>(clen));
-    counters[k] = ccm_counter_block(op.nonce, 1);
-    ctr_ptrs[k] = counters[k].data();
-    data_ptrs[k] = plaintexts[k].data();
-    lens[k] = clen;
-  }
-  mb.ctr_xor_mb(scheds.data(), ctr_ptrs.data(), data_ptrs.data(), lens.data(),
-                n);
-
-  std::vector<Bytes> mac_in(n);
-  std::vector<Bytes> states(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const CcmOpenOp& op = ops[lanes[k]];
-    mac_in[k] = ccm_mac_input(op.nonce, op.aad, plaintexts[k], op.tag_len);
-    states[k].assign(16, 0);
-  }
-  cbc_mac_mb_ragged(scheds, mac_in, states);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const CcmOpenOp& op = ops[lanes[k]];
-    const std::size_t clen = op.sealed.size() - op.tag_len;
-    Bytes s0(16);
-    const Bytes a0 = ccm_counter_block(op.nonce, 0);
-    op.cipher->encrypt_block(a0.data(), s0.data());
-    Bytes expected(states[k].begin(),
-                   states[k].begin() + static_cast<std::ptrdiff_t>(op.tag_len));
-    for (std::size_t t = 0; t < op.tag_len; ++t) expected[t] ^= s0[t];
-    if (ct_equal(expected, op.sealed.subspan(clen)))
-      out[lanes[k]] = std::move(plaintexts[k]);
-  }
-  return out;
 }
 
 }  // namespace mapsec::crypto

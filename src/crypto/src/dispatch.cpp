@@ -55,10 +55,6 @@ std::atomic<int> g_force{-1};
 
 }  // namespace
 
-// Null entries: multi-buffer callers fall back to their per-lane loops,
-// so forcing scalar exercises literally the single-stream code.
-const AesMbKernels kAesMbScalar = {"scalar", nullptr, nullptr};
-
 const CpuFeatures& cpu_features() {
   static const CpuFeatures f = probe_cpu();
   return f;
@@ -114,37 +110,6 @@ CrcPick pick_crc() {
   return {crc32_raw, "scalar"};
 }
 
-struct Sha256MbPick {
-  Sha256MbFn fn;
-  const char* name;
-};
-
-// Hardware SHA beats 8-wide software SIMD: a single SHA-NI stream outruns
-// the interleaved AVX2 kernel (~1.3 GB/s vs ~0.94 GB/s measured), so on
-// SHA-NI hosts the multi-buffer entry point just drives each lane through
-// the hardware compressor in turn. Lane state transitions are identical
-// either way, so digests don't depend on which driver ran.
-void sha256_mb_serial_shani(std::uint32_t* const* states,
-                            const std::uint8_t* const* blocks,
-                            std::size_t nlanes, std::size_t nblocks) {
-  for (std::size_t l = 0; l < nlanes; ++l)
-    kSha256ShaNi(states[l], blocks[l], nblocks);
-}
-
-Sha256MbPick pick_sha256_mb() {
-  const CpuFeatures& f = cpu_features();
-  if (kHaveShaNi && f.sha_ni && f.ssse3 && f.sse41)
-    return {sha256_mb_serial_shani, "sha-ni-serial"};
-  if (kHaveSha256Mb && f.avx2) return {kSha256MbAvx2, "avx2-x8"};
-  return {sha256_mb_scalar, "scalar"};
-}
-
-const AesMbKernels* pick_aes_mb() {
-  const CpuFeatures& f = cpu_features();
-  if (kHaveAesMbNi && f.aesni && f.ssse3 && f.sse41) return &kAesMbNi;
-  return &kAesMbScalar;
-}
-
 // The CPU never changes under us, so the auto picks are computed once;
 // only the force-scalar branch is re-evaluated per call.
 const AesKernels& auto_aes() {
@@ -164,15 +129,6 @@ bool auto_mont_adx() {
       kHaveMontAdx && cpu_features().bmi2 && cpu_features().adx;
   return adx;
 }
-const Sha256MbPick& auto_sha256_mb() {
-  static const Sha256MbPick p = pick_sha256_mb();
-  return p;
-}
-const AesMbKernels& auto_aes_mb() {
-  static const AesMbKernels* k = pick_aes_mb();
-  return *k;
-}
-
 }  // namespace
 
 const AesKernels& aes_kernels() {
@@ -202,16 +158,6 @@ MontCiosFn mont_cios_w64(std::size_t kw) {
   return mont_cios_w64_scalar;
 }
 
-Sha256MbFn sha256_mb() {
-  if (scalar_forced()) return sha256_mb_scalar;
-  return auto_sha256_mb().fn;
-}
-
-const AesMbKernels& aes_mb_kernels() {
-  if (scalar_forced()) return kAesMbScalar;
-  return auto_aes_mb();
-}
-
 Capabilities capabilities() {
   Capabilities c;
   c.features = cpu_features();
@@ -232,12 +178,6 @@ Capabilities capabilities() {
   const char* mont_name = !forced && auto_mont_adx() ? "bmi2" : "scalar";
   c.primitives.push_back(
       {"modexp-cios", mont_name, std::string(mont_name) != "scalar"});
-  const char* sha_mb_name = forced ? "scalar" : auto_sha256_mb().name;
-  c.primitives.push_back(
-      {"sha256-mb", sha_mb_name, std::string(sha_mb_name) != "scalar"});
-  const char* aes_mb_name = forced ? kAesMbScalar.name : auto_aes_mb().name;
-  c.primitives.push_back(
-      {"aes-mb", aes_mb_name, std::string(aes_mb_name) != "scalar"});
   return c;
 }
 

@@ -108,44 +108,6 @@ using MontCiosFn = void (*)(const std::uint64_t* a, const std::uint64_t* b,
 MontCiosFn mont_cios_w64(std::size_t kw);
 
 // ---------------------------------------------------------------------------
-// Multi-buffer SHA-256: advance `nlanes` independent states lockstep by
-// `nblocks` whole blocks each (states[l] is an 8-word state, blocks[l]
-// points at lane l's 64*nblocks message bytes). Bit-identical to calling
-// the single-stream compressor per lane; the win is shared message-
-// schedule arithmetic across lanes.
-
-using Sha256MbFn = void (*)(std::uint32_t* const* states,
-                            const std::uint8_t* const* blocks,
-                            std::size_t nlanes, std::size_t nblocks);
-
-Sha256MbFn sha256_mb();
-
-// ---------------------------------------------------------------------------
-// Multi-buffer AES: interleave independent streams (one key schedule per
-// lane, all lanes the same round count) so each lane's serial dependency
-// (CBC-MAC chaining, CTR keystream latency) overlaps the others'. The
-// scalar table leaves the function pointers null and callers keep their
-// per-lane loops — forcing scalar exercises literally the single-stream
-// code.
-
-struct AesMbKernels {
-  const char* name;
-  /// Lockstep CBC-MAC: absorb `nblocks` whole blocks into each lane's
-  /// 16-byte state. All lanes must share one round count.
-  void (*cbc_mac_mb)(const AesSchedule* scheds, std::uint8_t* const* states,
-                     const std::uint8_t* const* data, std::size_t nlanes,
-                     std::size_t nblocks);
-  /// CTR keystream XOR over lens[l] bytes per lane (partial final block
-  /// allowed); counters advance in place one increment per block, exactly
-  /// as the single-stream ctr_xor.
-  void (*ctr_xor_mb)(const AesSchedule* scheds, std::uint8_t* const* counters,
-                     std::uint8_t* const* data, const std::size_t* lens,
-                     std::size_t nlanes);
-};
-
-const AesMbKernels& aes_mb_kernels();
-
-// ---------------------------------------------------------------------------
 // Scalar kernels (each defined in the TU owning the original code).
 
 void aes_encrypt_scalar(const AesSchedule& s, const std::uint8_t* in,
@@ -161,10 +123,6 @@ std::uint32_t crc32_raw(std::uint32_t raw, const std::uint8_t* data,
 void mont_cios_w64_scalar(const std::uint64_t* a, const std::uint64_t* b,
                           const std::uint64_t* n, std::uint64_t n0inv,
                           std::uint64_t* t, std::size_t kw);
-/// Per-lane loop over sha256_compress_scalar.
-void sha256_mb_scalar(std::uint32_t* const* states,
-                      const std::uint8_t* const* blocks, std::size_t nlanes,
-                      std::size_t nblocks);
 
 // ---------------------------------------------------------------------------
 // ISA kernels. Always linked; kHave* says whether the TU was compiled
@@ -189,12 +147,5 @@ extern const bool kHavePclmul;
 /// The BMI2/ADX kernel for 4, 8, 16 or 32 limbs; null for other widths.
 MontCiosFn mont_cios_adx(std::size_t kw);
 extern const bool kHaveMontAdx;
-
-extern const Sha256MbFn kSha256MbAvx2;
-extern const bool kHaveSha256Mb;
-
-extern const AesMbKernels kAesMbScalar;  // null entries: per-lane loops
-extern const AesMbKernels kAesMbNi;
-extern const bool kHaveAesMbNi;
 
 }  // namespace mapsec::crypto::dispatch

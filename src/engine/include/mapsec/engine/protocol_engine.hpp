@@ -109,7 +109,6 @@ class ProtocolEngine {
   /// Register a program under a name.
   void load_program(const std::string& name, Program program);
 
-  bool has_program(const std::string& name) const;
   std::size_t program_count() const { return programs_.size(); }
 
   struct Result {
@@ -131,20 +130,6 @@ class ProtocolEngine {
   /// contract PacketPipeline's SA-affine sharding provides.
   Result run(const std::string& program_name, EngineSa& sa,
              crypto::ConstBytes packet, crypto::Rng& rng) const;
-
-  /// Run one program over many packets, batching the record transforms:
-  /// for the CCMP-shaped programs the AES-CCM seals/opens of all packets
-  /// interleave through the multi-buffer kernels (crypto::ccm_seal_batch /
-  /// ccm_open_batch); other programs fall back to a sequential loop.
-  /// results[i], cycle accounting, per-rng draw order, and SA replay-state
-  /// evolution are identical to calling
-  ///   run(program_name, *sas[i], packets[i], *rngs[i])
-  /// in index order — packets may share SAs and rngs. The thread-
-  /// confinement contract is the same as run()'s.
-  std::vector<Result> run_many(const std::string& program_name,
-                               const std::vector<EngineSa*>& sas,
-                               const std::vector<crypto::ConstBytes>& packets,
-                               const std::vector<crypto::Rng*>& rngs) const;
 
   /// Throughput estimate (Mbps) for a program processing `packet_bytes`
   /// packets back to back, from the cost model.

@@ -122,37 +122,10 @@ void PacketPipeline::run_share(std::size_t index,
 
   // Walk the whole batch in order, claiming this worker's SAs. The scan
   // is what preserves per-SA arrival order; jobs for other workers cost
-  // one modulo each. Claims gather into maximal same-program runs that
-  // execute through the engine's batched path (run_many), which keeps
-  // index order for rng draws and replay updates — results are
-  // byte-identical to the per-job loop for any run boundaries.
+  // one modulo each. A job that throws (an unknown program, a packet too
+  // long for CCM) is dropped on its own; the rest of the share runs on.
   const auto start = std::chrono::steady_clock::now();
   WorkerStats& st = stats_[index];
-  std::vector<std::size_t> run_idx;
-  std::vector<EngineSa*> run_sas;
-  std::vector<crypto::ConstBytes> run_pkts;
-  std::vector<crypto::Rng*> run_rngs;
-  const std::string* run_prog = nullptr;
-  const auto flush = [&] {
-    if (run_idx.empty()) return;
-    std::vector<ProtocolEngine::Result> rs =
-        engine_.run_many(*run_prog, run_sas, run_pkts, run_rngs);
-    for (std::size_t k = 0; k < run_idx.size(); ++k) {
-      PipelineResult& out = results[run_idx[k]];
-      out.accepted = rs[k].accepted;
-      out.header = std::move(rs[k].header);
-      out.payload = std::move(rs[k].payload);
-      out.drop_reason = std::move(rs[k].drop_reason);
-      out.engine_cycles = rs[k].cycles;
-      st.engine_cycles += rs[k].cycles;
-      ++st.packets;
-    }
-    run_idx.clear();
-    run_sas.clear();
-    run_pkts.clear();
-    run_rngs.clear();
-    run_prog = nullptr;
-  };
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const PipelineJob& job = jobs[i];
     if (job.sa_id % stats_.size() != index) continue;
@@ -163,34 +136,19 @@ void PacketPipeline::run_share(std::size_t index,
       continue;
     }
     SaState& state = it->second;
-    // Jobs the batched path cannot express keep the original per-job
-    // exception containment: unknown programs (run_many faults the
-    // whole run) and oversized packets (the CCM length check throws
-    // per lane).
-    if (!engine_.has_program(job.program) || job.packet.size() > 0xFFFF) {
-      flush();
-      try {
-        auto r = engine_.run(job.program, state.sa, job.packet, state.rng);
-        out.accepted = r.accepted;
-        out.header = std::move(r.header);
-        out.payload = std::move(r.payload);
-        out.drop_reason = std::move(r.drop_reason);
-        out.engine_cycles = r.cycles;
-        st.engine_cycles += r.cycles;
-      } catch (const std::exception& e) {
-        out.drop_reason = e.what();
-      }
-      ++st.packets;
-      continue;
+    try {
+      auto r = engine_.run(job.program, state.sa, job.packet, state.rng);
+      out.accepted = r.accepted;
+      out.header = std::move(r.header);
+      out.payload = std::move(r.payload);
+      out.drop_reason = std::move(r.drop_reason);
+      out.engine_cycles = r.cycles;
+      st.engine_cycles += r.cycles;
+    } catch (const std::exception& e) {
+      out.drop_reason = e.what();
     }
-    if (run_prog != nullptr && *run_prog != job.program) flush();
-    run_prog = &job.program;
-    run_idx.push_back(i);
-    run_sas.push_back(&state.sa);
-    run_pkts.push_back(job.packet);
-    run_rngs.push_back(&state.rng);
+    ++st.packets;
   }
-  flush();
   ++st.batches;
   st.busy_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -49,10 +49,6 @@ void ProtocolEngine::load_program(const std::string& name, Program program) {
   programs_[name] = std::move(program);
 }
 
-bool ProtocolEngine::has_program(const std::string& name) const {
-  return programs_.count(name) != 0;
-}
-
 namespace {
 
 std::uint32_t read_be32(const crypto::Bytes& b, std::size_t off) {
@@ -263,194 +259,6 @@ ProtocolEngine::Result ProtocolEngine::run(const std::string& program_name,
     }
   }
   return drop("program fell off the end");
-}
-
-namespace {
-
-bool shape_is(const Program& p, std::initializer_list<OpCode> ops) {
-  if (p.size() != ops.size()) return false;
-  std::size_t i = 0;
-  for (OpCode op : ops)
-    if (p[i++].op != op) return false;
-  return true;
-}
-
-std::uint32_t read_be32_span(crypto::ConstBytes b, std::size_t off) {
-  return (std::uint32_t{b[off]} << 24) | (std::uint32_t{b[off + 1]} << 16) |
-         (std::uint32_t{b[off + 2]} << 8) | b[off + 3];
-}
-
-}  // namespace
-
-std::vector<ProtocolEngine::Result> ProtocolEngine::run_many(
-    const std::string& program_name, const std::vector<EngineSa*>& sas,
-    const std::vector<crypto::ConstBytes>& packets,
-    const std::vector<crypto::Rng*>& rngs) const {
-  const auto prog = programs_.find(program_name);
-  if (prog == programs_.end())
-    throw std::invalid_argument("ProtocolEngine: unknown program " +
-                                program_name);
-  const Program& program = prog->second;
-  const std::size_t n = packets.size();
-  std::vector<Result> results(n);
-
-  // Only the CCMP shapes have a batched interpretation; anything else
-  // runs the VM per packet (bit-identical by definition).
-  const bool ccmp_out = shape_is(
-      program, {OpCode::kParseHeader, OpCode::kSealCcm, OpCode::kAccept});
-  const bool ccmp_in = shape_is(
-      program, {OpCode::kCheckMinLength, OpCode::kParseHeader,
-                OpCode::kCheckSpi, OpCode::kOpenCcm, OpCode::kCheckReplay,
-                OpCode::kAccept});
-  if (!ccmp_out && !ccmp_in) {
-    for (std::size_t i = 0; i < n; ++i)
-      results[i] = run(program_name, *sas[i], packets[i], *rngs[i]);
-    return results;
-  }
-
-  // The staged interpreter below replays run()'s per-instruction
-  // semantics — the same cycle charges, the same drop points and
-  // reasons, rng draws in index order, replay-window updates in index
-  // order — with one difference: every packet's CCM transform is
-  // deferred into a single multi-buffer batch. The transforms neither
-  // read nor write SA state, so the reordering is unobservable.
-  const double cpi = profile_.cycles_per_instruction;
-
-  if (ccmp_out) {
-    const std::uint32_t hdr_len = program[0].operand;
-    const std::size_t tag_len = program[1].operand;
-    struct OutLane {
-      std::size_t idx;
-      crypto::Bytes header;
-      crypto::Bytes nonce;
-      crypto::ConstBytes body;
-    };
-    std::vector<OutLane> lanes;
-    for (std::size_t i = 0; i < n; ++i) {
-      Result& r = results[i];
-      r.cycles += cpi;  // kParseHeader
-      if (packets[i].size() < hdr_len) {
-        r.drop_reason = "truncated header";
-        continue;
-      }
-      r.cycles += profile_.parse_cycles_per_byte * hdr_len;
-      r.cycles += cpi;  // kSealCcm
-      const auto& cipher = sa_cipher(*sas[i]);
-      if (cipher.block_size() != 16) {
-        r.drop_reason = "CCM needs AES";
-        continue;
-      }
-      const std::size_t body_len = packets[i].size() - hdr_len;
-      r.cycles += 2 * profile_.cipher_cycles_per_byte *
-                  static_cast<double>(body_len + hdr_len);
-      OutLane lane;
-      lane.idx = i;
-      lane.header.assign(packets[i].begin(), packets[i].begin() + hdr_len);
-      lane.nonce.resize(crypto::kCcmNonceLen);
-      rngs[i]->fill(lane.nonce);
-      lane.body = packets[i].subspan(hdr_len);
-      lanes.push_back(std::move(lane));
-    }
-    // Ops reference lane storage, so build them only once `lanes` is
-    // fully grown.
-    std::vector<crypto::CcmSealOp> ops;
-    ops.reserve(lanes.size());
-    for (const OutLane& lane : lanes)
-      ops.push_back({&sa_cipher(*sas[lane.idx]), lane.nonce, lane.header,
-                     lane.body, tag_len});
-    std::vector<crypto::Bytes> sealed = crypto::ccm_seal_batch(ops);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      Result& r = results[lanes[k].idx];
-      r.cycles += cpi;  // kAccept
-      r.accepted = true;
-      crypto::Bytes out = std::move(lanes[k].nonce);
-      out.insert(out.end(), sealed[k].begin(), sealed[k].end());
-      r.header = std::move(lanes[k].header);
-      r.payload = std::move(out);
-    }
-    return results;
-  }
-
-  const std::uint32_t min_len = program[0].operand;
-  const std::uint32_t hdr_len = program[1].operand;
-  const std::uint32_t spi_off = program[2].operand;
-  const std::size_t tag_len = program[3].operand;
-  const std::uint32_t seq_off = program[4].operand;
-  struct InLane {
-    std::size_t idx;
-    crypto::Bytes header;
-  };
-  std::vector<InLane> lanes;
-  for (std::size_t i = 0; i < n; ++i) {
-    Result& r = results[i];
-    r.cycles += cpi;  // kCheckMinLength
-    if (packets[i].size() < min_len) {
-      r.drop_reason = "short packet";
-      continue;
-    }
-    r.cycles += cpi;  // kParseHeader
-    if (packets[i].size() < hdr_len) {
-      r.drop_reason = "truncated header";
-      continue;
-    }
-    r.cycles += profile_.parse_cycles_per_byte * hdr_len;
-    r.cycles += cpi;  // kCheckSpi
-    if (hdr_len < spi_off + 4) {
-      r.drop_reason = "no SPI field";
-      continue;
-    }
-    if (read_be32_span(packets[i], spi_off) != sas[i]->spi) {
-      r.drop_reason = "SPI mismatch";
-      continue;
-    }
-    r.cycles += cpi;  // kOpenCcm
-    const auto& cipher = sa_cipher(*sas[i]);
-    if (cipher.block_size() != 16) {
-      r.drop_reason = "CCM needs AES";
-      continue;
-    }
-    const std::size_t body_len = packets[i].size() - hdr_len;
-    if (body_len < crypto::kCcmNonceLen + tag_len) {
-      r.drop_reason = "short for CCM";
-      continue;
-    }
-    r.cycles += 2 * profile_.cipher_cycles_per_byte *
-                static_cast<double>(body_len + hdr_len);
-    lanes.push_back(
-        {i, crypto::Bytes(packets[i].begin(), packets[i].begin() + hdr_len)});
-  }
-  std::vector<crypto::CcmOpenOp> ops;
-  ops.reserve(lanes.size());
-  for (const InLane& lane : lanes)
-    ops.push_back({&sa_cipher(*sas[lane.idx]),
-                   packets[lane.idx].subspan(hdr_len, crypto::kCcmNonceLen),
-                   lane.header,
-                   packets[lane.idx].subspan(hdr_len + crypto::kCcmNonceLen),
-                   tag_len});
-  std::vector<std::optional<crypto::Bytes>> opened =
-      crypto::ccm_open_batch(ops);
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    Result& r = results[lanes[k].idx];
-    if (!opened[k]) {
-      r.drop_reason = "CCM auth failure";
-      continue;
-    }
-    r.cycles += cpi;  // kCheckReplay
-    if (hdr_len < seq_off + 4) {
-      r.drop_reason = "no seq field";
-      continue;
-    }
-    if (!replay_check_and_update(*sas[lanes[k].idx],
-                                 read_be32_span(lanes[k].header, seq_off))) {
-      r.drop_reason = "replay";
-      continue;
-    }
-    r.cycles += cpi;  // kAccept
-    r.accepted = true;
-    r.header = std::move(lanes[k].header);
-    r.payload = std::move(*opened[k]);
-  }
-  return results;
 }
 
 double ProtocolEngine::throughput_mbps(const std::string& program_name,

@@ -39,13 +39,13 @@ std::vector<net::SimTime> fleet_arrivals(std::uint64_t seed,
 
 crypto::Bytes fold_fleet_digest(
     const std::vector<crypto::ConstBytes>& lanes) {
-  // Hash every lane through the multi-buffer sweep (lane-for-lane
-  // identical to Sha256::hash), then fold the lane digests.
-  crypto::Bytes digest_stream;
-  for (const crypto::Bytes& lane_digest : crypto::sha256_many(lanes))
-    digest_stream.insert(digest_stream.end(), lane_digest.begin(),
-                         lane_digest.end());
-  return crypto::Sha256::hash(digest_stream);
+  crypto::Sha256 fold;
+  std::uint8_t lane_digest[crypto::Sha256::kDigestSize];
+  for (const crypto::ConstBytes lane : lanes) {
+    crypto::Sha256::hash_into(lane, lane_digest);
+    fold.update(lane_digest);
+  }
+  return fold.finish();
 }
 
 FleetTally tally_fleet(

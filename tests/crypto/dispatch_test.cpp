@@ -73,8 +73,6 @@ TEST(DispatchTest, CapabilitiesReportsEveryPrimitiveAndHonoursForce) {
   EXPECT_NE(std::find(names.begin(), names.end(), "crc32"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "modexp-cios"),
             names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "sha256-mb"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "aes-mb"), names.end());
 
   ScopedBackend scalar_scope(true);
   const auto forced = dispatch::capabilities();
@@ -180,15 +178,21 @@ TEST(DispatchTest, CcmSealOpenMatchesScalarAcrossSizes) {
     const Bytes nonce = random_bytes(rng, kCcmNonceLen);
     const Bytes aad = random_bytes(rng, aad_len);
     const Bytes pt = random_bytes(rng, n);
+    const std::size_t tag_len = std::vector<std::size_t>{4, 8, 16}[rng() % 3];
+    const std::size_t flip = rng();
     const auto [s, a] = both_backends([&] {
       const BlockCipherAdapter<Aes> cipher{Aes(key)};
-      Bytes sealed = ccm_seal(cipher, nonce, aad, pt);
-      const auto opened = ccm_open(cipher, nonce, aad, sealed);
+      Bytes sealed = ccm_seal(cipher, nonce, aad, pt, tag_len);
+      const auto opened = ccm_open(cipher, nonce, aad, sealed, tag_len);
       EXPECT_TRUE(opened.has_value());
       EXPECT_EQ(*opened, pt);
+      // One flipped bit, in the ciphertext or the tag, fails the open.
+      Bytes tampered = sealed;
+      tampered[flip % tampered.size()] ^= 0x01;
+      EXPECT_FALSE(ccm_open(cipher, nonce, aad, tampered, tag_len));
       return sealed;
     });
-    ASSERT_EQ(s, a) << "n=" << n << " aad=" << aad_len;
+    ASSERT_EQ(s, a) << "n=" << n << " aad=" << aad_len << " tag=" << tag_len;
   }
 }
 
@@ -333,80 +337,6 @@ TEST(DispatchTest, ModExpMatchesScalarAcrossWidthsWithIdenticalStats) {
       });
       ASSERT_EQ(sf, af) << "fixed-window limbs=" << limbs;
     }
-  }
-}
-
-// ---- batched data plane ---------------------------------------------------
-
-TEST(DispatchTest, Sha256ManyMatchesSingleLaneHash) {
-  std::mt19937 rng(0x5AB8u);
-  for (int iter = 0; iter < 30; ++iter) {
-    // 0..19 lanes: empty batches, sub-width batches, ragged multi-pass
-    // batches with wildly different lane lengths (0..~4 KiB).
-    const std::size_t lanes = rng() % 20;
-    std::vector<Bytes> msgs;
-    for (std::size_t i = 0; i < lanes; ++i)
-      msgs.push_back(random_bytes(rng, rng() % 4097));
-    const auto [s, a] = both_backends([&] {
-      std::vector<ConstBytes> views(msgs.begin(), msgs.end());
-      std::vector<Bytes> out = sha256_many(views);
-      EXPECT_EQ(out.size(), msgs.size());
-      for (std::size_t i = 0; i < msgs.size(); ++i)
-        EXPECT_EQ(out[i], Sha256::hash(msgs[i])) << "lane " << i;
-      return out;
-    });
-    ASSERT_EQ(s, a) << "lanes=" << lanes;
-  }
-}
-
-TEST(DispatchTest, CcmBatchMatchesSingleOpAndRejectsTamper) {
-  std::mt19937 rng(0xCC4u);
-  for (int iter = 0; iter < 12; ++iter) {
-    const std::size_t lanes = 1 + rng() % 9;
-    std::vector<Bytes> keys, nonces, aads, pts;
-    std::vector<std::size_t> tag_lens;
-    for (std::size_t i = 0; i < lanes; ++i) {
-      keys.push_back(random_bytes(rng, 16));
-      nonces.push_back(random_bytes(rng, kCcmNonceLen));
-      aads.push_back(random_bytes(rng, rng() % 48));
-      pts.push_back(random_bytes(rng, rng() % 1025));
-      tag_lens.push_back(std::vector<std::size_t>{4, 8, 16}[rng() % 3]);
-    }
-    const auto [s, a] = both_backends([&] {
-      std::vector<BlockCipherAdapter<Aes>> ciphers;
-      ciphers.reserve(lanes);
-      for (const Bytes& key : keys)
-        ciphers.push_back(BlockCipherAdapter<Aes>{Aes(key)});
-      std::vector<CcmSealOp> seal_ops(lanes);
-      for (std::size_t i = 0; i < lanes; ++i)
-        seal_ops[i] = {&ciphers[i], nonces[i], aads[i], pts[i], tag_lens[i]};
-      std::vector<Bytes> sealed = ccm_seal_batch(seal_ops);
-      std::vector<CcmOpenOp> open_ops(lanes);
-      for (std::size_t i = 0; i < lanes; ++i)
-        open_ops[i] = {&ciphers[i], nonces[i], aads[i], sealed[i],
-                       tag_lens[i]};
-      const auto opened = ccm_open_batch(open_ops);
-      for (std::size_t i = 0; i < lanes; ++i) {
-        EXPECT_EQ(sealed[i], ccm_seal(ciphers[i], nonces[i], aads[i], pts[i],
-                                      tag_lens[i]))
-            << "lane " << i;
-        EXPECT_TRUE(opened[i].has_value()) << "lane " << i;
-        if (opened[i]) {
-          EXPECT_EQ(*opened[i], pts[i]) << "lane " << i;
-        }
-      }
-      // Flip one byte in one lane: only that lane fails, neighbours in
-      // the same multi-buffer pass stay intact.
-      const std::size_t victim = rng() % lanes;
-      Bytes tampered = sealed[victim];
-      tampered[rng() % tampered.size()] ^= 0x01;
-      open_ops[victim].sealed = tampered;
-      const auto reopened = ccm_open_batch(open_ops);
-      for (std::size_t i = 0; i < lanes; ++i)
-        EXPECT_EQ(reopened[i].has_value(), i != victim) << "lane " << i;
-      return sealed;
-    });
-    ASSERT_EQ(s, a) << "lanes=" << lanes << " iter=" << iter;
   }
 }
 

@@ -121,7 +121,7 @@ TEST_F(EngineTest, OutboundTheneInboundRoundTrip) {
 TEST_F(EngineTest, MultipleProtocolsOneEngine) {
   // The flexibility claim: three protocols resident simultaneously.
   EXPECT_EQ(engine_.program_count(), 3u);
-  EXPECT_TRUE(engine_.has_program("wep-like-in"));
+  EXPECT_NO_THROW(engine_.run("wep-like-in", sa_, Bytes(64)));
   // A fourth "standard revision" is a load_program call, not a redesign.
   Program esp_v2 = esp_inbound_program();
   esp_v2[3].operand = 10;  // revised ICV length
