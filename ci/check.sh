@@ -73,15 +73,14 @@ echo "== release tree, forced-scalar crypto (MAPSEC_FORCE_SCALAR=1) =="
 MAPSEC_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
 echo "== forced-scalar batched differential sweep =="
-# The batched data plane must prove bit-identity on the scalar kernels
-# too, not just on the ISA kernels: the multi-buffer SHA-256 and CCM
-# sweeps against their single-lane paths, and the batched offload windows
-# (the modeled window pricing, the whole-window steal and the fleet
-# digest across batch widths, offload and chaos). This names the sweep
-# explicitly so a filter change in the full run can never silently drop
-# it from the scalar tree.
+# The batched paths must prove bit-identity on the scalar kernels too,
+# not just on the ISA kernels: the batched offload windows (the modeled
+# window pricing, the whole-window steal and the fleet digest across
+# batch widths, offload and chaos) and the golden CCMP pipeline batch.
+# This names the sweep explicitly so a filter change in the full run can
+# never silently drop it from the scalar tree.
 MAPSEC_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "${JOBS}" \
-  -R 'Sha256Many|CcmBatch|BatchWidth|BatchWindow|MidBatch|WholeWindow'
+  -R 'BatchWidth|BatchWindow|MidBatch|WholeWindow|PipelineGolden'
 
 echo "== forced-scalar bit-identity pins =="
 # The Montgomery kernel cross-check (the ISA kernel against the scalar
