@@ -98,8 +98,10 @@ class PacketPipeline {
   void reset_replay();
 
   /// Process a batch. Blocks until every job has completed; results are
-  /// in job order. Jobs for the same SA execute in batch order on the
-  /// same worker.
+  /// in job order. Each job is one ProtocolEngine::run() call; a job
+  /// that throws (say, an unknown program) comes back unaccepted with
+  /// the exception's message as its drop reason. Jobs for the same SA
+  /// execute in batch order on the same worker.
   std::vector<PipelineResult> run_batch(const std::vector<PipelineJob>& jobs);
 
   std::size_t num_workers() const { return stats_.size(); }
