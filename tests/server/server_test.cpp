@@ -464,6 +464,9 @@ TEST_F(ServerTest, SoakIsBitIdenticalAcrossWorkerCounts) {
   EXPECT_GT(one.sessions_completed, 990u);  // 5% loss, retries absorb it
   EXPECT_EQ(one.echo_mismatches, 0u);
   EXPECT_GT(one.server.resumed_handshakes, 0u);
+  // Pinned: the 1- and 3-worker runs agreed on this digest.
+  EXPECT_EQ(crypto::to_hex(one.fleet_digest),
+            "04857ea8f96898e7c63fadac05bbaf3db6d540be28d15c64099203c48f76ed47");
 
   const LoadReport three = run_with_workers(3);
   EXPECT_EQ(one.fleet_digest, three.fleet_digest);
