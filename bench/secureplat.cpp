@@ -49,7 +49,9 @@ void BM_KeyStoreSeal(benchmark::State& state) {
   const crypto::Bytes secret = rng.bytes(64);
   int i = 0;
   for (auto _ : state) {
-    SealedBlob blob = store.seal("k" + std::to_string(i++ % 16), secret);
+    std::string name = "k";
+    name += std::to_string(i++ % 16);
+    SealedBlob blob = store.seal(name, secret);
     benchmark::DoNotOptimize(blob.tag.data());
   }
 }

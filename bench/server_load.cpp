@@ -360,7 +360,8 @@ std::pair<double, double> cache_index() {
   net::EventQueue clock;
   server::BoundedSessionCache hashed(clock,
                                      {.capacity = kEntries, .ttl_us = 0});
-  std::map<crypto::Bytes, protocol::SessionCache::Entry> tree;
+  std::map<crypto::Bytes, protocol::SessionCache::Entry, crypto::BytesLess>
+      tree;
   crypto::HmacDrbg rng(0x5E55CACE);
   std::vector<crypto::Bytes> ids;
   ids.reserve(kEntries);

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -114,6 +115,17 @@ struct BytesHash {
       h *= 0x100000001b3ull;
     }
     return static_cast<std::size_t>(h);
+  }
+};
+
+/// Shorter first, equal lengths by memcmp; the order of every ordered
+/// byte-keyed index (the base SessionCache). An explicit size-then-memcmp
+/// compare: std::vector's three-way compare, inlined at -O3, makes GCC 12
+/// warn -Wstringop-overread on its memcmp bound.
+struct BytesLess {
+  bool operator()(const Bytes& a, const Bytes& b) const noexcept {
+    if (a.size() != b.size()) return a.size() < b.size();
+    return !a.empty() && std::memcmp(a.data(), b.data(), a.size()) < 0;
   }
 };
 

@@ -65,7 +65,7 @@ class SessionCache {
   virtual void clear() { entries_.clear(); }
 
  private:
-  std::map<crypto::Bytes, Entry> entries_;
+  std::map<crypto::Bytes, Entry, crypto::BytesLess> entries_;
 };
 
 /// One public-key operation extracted from a suspended server handshake —
