@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
   server_cfg.handshake.now = kNow;
   server_cfg.handshake.cert_chain = {server_cert};
   server_cfg.handshake.private_key = &server_key.priv;
-  server_cfg.pipeline_workers = 2;
 
   server::ClientConfig client_cfg;
   client_cfg.handshake.now = kNow;

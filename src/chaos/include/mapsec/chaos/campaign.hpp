@@ -10,8 +10,8 @@
 //       accepted == graceful + idle + failed + refused + open,
 //   * all connections are closed once the queue drains,
 //   * per-connection memory stayed within its configured bounds,
-//   * the same seed gives a bit-identical outcome for ANY
-//     PacketPipeline worker count (fleet_digest is the witness).
+//   * the same seed gives a bit-identical outcome, with or without
+//     injected pipeline and offload stalls (fleet_digest is the witness).
 //
 // Attack cost is priced through platform::EnergyModel plus the paper's
 // RSA figure (42 mJ/KB on a 128-byte RSA-1024 block ≈ 5.25 mJ/op), so a
@@ -44,8 +44,8 @@ struct CampaignConfig {
   /// epoch-barrier control channel, and the Shard* lifecycle faults
   /// (ShardCrash/ShardHang/ShardWorkerStall/ShardOffloadStall) become
   /// available. Faults that flip process-global state (DispatchFailure,
-  /// RngExhaustion) or stall by bare worker index across every shard
-  /// (WorkerStall, OffloadStall) are rejected with std::invalid_argument.
+  /// RngExhaustion) or stall with no owning shard (WorkerStall,
+  /// OffloadStall) are rejected with std::invalid_argument.
   std::size_t shards = 0;
   net::SimTime slice_us = 1'000;
   /// Wall-clock budget per slice before the hang watchdog fires (only
@@ -76,7 +76,7 @@ struct CampaignConfig {
 
 /// The honest fleet's outcome lives in the FleetTally base: sessions,
 /// echo mismatches, refused attempts, failover reconnects/resumes and the
-/// fleet_digest — bit-identical across pipeline worker counts and shard
+/// fleet_digest — bit-identical across offload worker counts and shard
 /// counts for the same seed.
 struct CampaignReport : server::FleetTally {
   server::ServerStats server;

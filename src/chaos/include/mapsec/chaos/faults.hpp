@@ -75,13 +75,12 @@ struct RngExhaustion {
   net::SimTime duration_us = 1'000'000;
 };
 
-/// One pipeline worker goes slow (wall-clock stall per batch). The batch
-/// barrier absorbs it: simulated-time outcomes and bytes must be
+/// The server's record path goes slow: a wall-clock stall per
+/// PacketPipeline batch. Simulated-time outcomes and bytes must be
 /// identical, only host latency changes.
 struct WorkerStall {
   net::SimTime at_us = 0;
   net::SimTime duration_us = 0;  // 0 = rest of the run
-  std::size_t worker = 0;
   std::uint64_t stall_ns = 200'000;
 };
 
@@ -163,7 +162,6 @@ struct ShardWorkerStall {
   net::SimTime at_us = 0;
   net::SimTime duration_us = 0;  // 0 = rest of the run
   std::size_t shard = 0;
-  std::size_t worker = 0;
   std::uint64_t stall_ns = 200'000;
 };
 

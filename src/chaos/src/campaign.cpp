@@ -75,9 +75,9 @@ void validate_plan(const FaultPlan& faults, std::size_t shards) {
     if (std::holds_alternative<WorkerStall>(fault) ||
         std::holds_alternative<OffloadStall>(fault))
       throw std::invalid_argument(
-          "chaos: WorkerStall/OffloadStall address a worker index with no "
-          "owning shard; use ShardWorkerStall/ShardOffloadStall, which "
-          "ride one shard's own queue");
+          "chaos: WorkerStall/OffloadStall name no owning shard; use "
+          "ShardWorkerStall/ShardOffloadStall, which ride one shard's own "
+          "queue");
     if (target && *target >= shards)
       throw std::invalid_argument("chaos: Shard* fault's shard out of range");
   }
@@ -181,9 +181,9 @@ CampaignReport CampaignRunner::run() {
     if (duration != 0)
       world.queue(w).schedule_at(at + duration, [set] { set(0); });
   };
-  auto pipeline_stall = [&world](std::size_t w, std::size_t worker) {
-    return [&world, w, worker](std::uint64_t ns) {
-      world.server(w).pipeline_for_chaos().inject_worker_stall(worker, ns);
+  auto pipeline_stall = [&world](std::size_t w) {
+    return [&world, w](std::uint64_t ns) {
+      world.server(w).pipeline_for_chaos().inject_stall(ns);
     };
   };
   auto offload_stall = [&world](std::size_t w, std::size_t worker,
@@ -248,11 +248,11 @@ CampaignReport CampaignRunner::run() {
       world.queue(0).schedule_at(f->at_us + f->duration_us,
                                  [&] { server_rng.refill(); });
     } else if (const auto* f = std::get_if<WorkerStall>(&fault)) {
-      stall_window(0, f->at_us, f->duration_us, pipeline_stall(0, f->worker),
+      stall_window(0, f->at_us, f->duration_us, pipeline_stall(0),
                    f->stall_ns);
     } else if (const auto* f = std::get_if<ShardWorkerStall>(&fault)) {
       stall_window(f->shard, f->at_us, f->duration_us,
-                   pipeline_stall(f->shard, f->worker), f->stall_ns);
+                   pipeline_stall(f->shard), f->stall_ns);
     } else if (const auto* f = std::get_if<OffloadStall>(&fault)) {
       stall_window(0, f->at_us, f->duration_us,
                    offload_stall(0, f->worker, f->all_workers), f->stall_ns);

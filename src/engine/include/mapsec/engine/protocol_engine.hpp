@@ -79,8 +79,8 @@ struct EngineSa {
   // per-packet work; the engine rebuilds these only when the keys change.
   // Copying an SA shares the (immutable-once-built) cache. Like the
   // replay window, these make a live SA single-threaded: process all of
-  // one SA's packets on one thread (what PacketPipeline's SA-affine
-  // sharding guarantees).
+  // one SA's packets on one thread (as each PacketPipeline, and so each
+  // server shard, does).
   mutable std::shared_ptr<const crypto::BlockCipher> rt_cipher;
   mutable crypto::Bytes rt_cipher_key;
   mutable protocol::BulkCipher rt_cipher_kind = protocol::BulkCipher::kDes3;
@@ -127,7 +127,7 @@ class ProtocolEngine {
   /// Same, drawing IVs/nonces from `rng` instead of the engine's own
   /// source. Program lookup is read-only, so concurrent calls are safe as
   /// long as each SA (and each rng) is confined to one thread — the
-  /// contract PacketPipeline's SA-affine sharding provides.
+  /// contract each shard's own PacketPipeline provides.
   Result run(const std::string& program_name, EngineSa& sa,
              crypto::ConstBytes packet, crypto::Rng& rng) const;
 

@@ -7,8 +7,8 @@
 // depend on host scheduling; instead the whole transport substrate runs on
 // one discrete-event queue in simulated microseconds. Two runs with the
 // same seeds execute the same events in the same order, bit for bit —
-// which is what lets the soak tests assert that scaling the
-// PacketPipeline's worker count changes nothing observable.
+// which is what lets the soak tests pin a run's fleet digest and assert
+// that scaling the shard count changes nothing observable.
 #pragma once
 
 #include <cstdint>

@@ -144,8 +144,8 @@ class SessionClient {
   }
 
   /// Running SHA-256 over the first verified echo of every payload index,
-  /// in index order per session — the soak tests compare this across
-  /// PacketPipeline worker counts and shard topologies. Payload bytes are
+  /// in index order per session — the soak tests pin it and compare it
+  /// across offload lanes and shard topologies. Payload bytes are
   /// a pure function of (client seed, session, index) and each index is
   /// folded in at most once, so a session interrupted by a shard crash
   /// and resumed elsewhere contributes exactly the bytes an undisturbed

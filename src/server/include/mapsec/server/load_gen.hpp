@@ -7,7 +7,7 @@
 // handshakes per second, protected record throughput), latency
 // percentiles, cache behaviour, clean-failure accounting, and a
 // fleet-wide transcript digest that must be bit-identical for any
-// PacketPipeline worker count and any shard count. The report is priced
+// offload lane count and any shard count. The report is priced
 // against the paper's StrongARM SA-1100 via platform::serving_gap,
 // closing the loop to Figure 3: how much appliance-class silicon would
 // this measured serving load need?
@@ -72,7 +72,7 @@ std::vector<net::SimTime> fleet_arrivals(std::uint64_t seed,
                                          bool poisson);
 
 /// SHA-256 over the concatenation of per-client transcript digests, in
-/// client order — the determinism witness compared across worker counts
+/// client order — the determinism witness compared across shard counts
 /// and, with the socket bearer, across transports.
 crypto::Bytes fold_fleet_digest(const std::vector<crypto::ConstBytes>& lanes);
 

@@ -13,10 +13,9 @@
 //   * backpressure: a bounded per-connection echo queue; application
 //     data beyond it is deferred, never dropped,
 //   * a bulk echo path through the PacketPipeline — record protection
-//     (AES-CCM via the ccmp programs) shards across workers by
-//     connection, bit-identical for any worker count. Echoes are sealed
-//     in the instant they arrive: the flush runs once the instant's
-//     other work is done, with no timer in between,
+//     (AES-CCM via the ccmp programs), one SA per connection. Echoes are
+//     sealed in the instant they arrive: the flush runs once the
+//     instant's other work is done, with no timer in between,
 //   * graceful close, and per-server counters plus a simulated-time
 //     handshake-latency histogram,
 //   * retirement: a finished connection releases its handshake state and
@@ -24,10 +23,10 @@
 //     per-flush work follow the live connections, not every connection
 //     ever accepted.
 //
-// Single-threaded by design: every callback runs on the EventQueue, and
-// the only parallelism is inside PacketPipeline::run_batch with more than
-// one worker — which is deterministic — so a whole serving run is a pure
-// function of its seeds.
+// Single-threaded by design: every callback, record path included, runs
+// on the EventQueue's thread, so a whole serving run is a pure function
+// of its seeds. A multi-core appliance scales out with ShardedServer, one
+// server per shard thread.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +88,11 @@ struct ServerConfig {
 
   /// Bulk jobs accumulate across connections and flush through the
   /// pipeline once the current instant's other work is done (see
-  /// schedule_flush). At one worker the batch runs on the event loop's
-  /// own thread.
+  /// schedule_flush); the batch runs on the event loop's own thread.
+  /// Only 0 and 1 are accepted (the pipeline throws otherwise; scale out
+  /// with ShardedServer). Kept only because the repository benchmark's
+  /// calibration reads it: a benchmark change drops that read, then
+  /// deletes this field and PacketPipeline's `num_workers` parameter.
   std::size_t pipeline_workers = 1;
   std::uint64_t pipeline_seed = 0xC0FFEE;
   engine::EngineProfile engine_profile;

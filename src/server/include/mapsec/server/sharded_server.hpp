@@ -1,12 +1,12 @@
 // Sharded multi-core serving tier: N independent event-loop shards with a
 // deterministic cross-shard merge.
 //
-// Every PR so far parallelized the crypto under ONE event loop
-// (PacketPipeline workers, OffloadEngine lanes, batch windows); the
-// serving tier itself — accepts, timers, the session state machine —
-// still ran on one core. This tier shards it: each shard owns its own
+// Under ONE event loop only the public-key work leaves the loop's thread
+// (OffloadEngine lanes, batch windows); the serving tier itself — accepts,
+// timers, the session state machine, the record path — runs on one core.
+// This tier shards it across cores: each shard owns its own
 // net::EventQueue, SecureSessionServer (with its own modeled core,
-// PacketPipeline workers and OffloadEngine lanes), BoundedSessionCache
+// PacketPipeline and OffloadEngine lanes), BoundedSessionCache
 // partition and TicketKeyRing, and a real std::thread drives each shard's
 // queue (net::ShardExecutor) while SIMULATED time remains the clock.
 // Connections hash to shards by a stable FNV-1a over the client's

@@ -5,7 +5,7 @@
 // client application data ride the TLS record layer; the server's echo
 // path returns data over the CCM bulk lane — the record-protection path
 // that runs through the PacketPipeline (kParseHeader/kSealCcm programs),
-// so bulk crypto shards across workers while staying bit-deterministic.
+// bit-deterministic from the pipeline's per-SA nonce streams.
 #pragma once
 
 #include <cstdint>

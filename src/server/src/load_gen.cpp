@@ -82,8 +82,8 @@ FleetWorld::FleetWorld(const LoadConfig& load, const ServerConfig& server,
   if (load_.shards == 0) {
     queue_ = std::make_unique<net::EventQueue>();
     cache_ = std::make_unique<BoundedSessionCache>(*queue_, cache);
-    // Each world seeds its own server rng so repeated runs (and runs that
-    // differ only in worker count) are bit-identical.
+    // Each world seeds its own server rng so repeated runs are
+    // bit-identical.
     if (server_rng == nullptr) {
       own_server_rng_ =
           std::make_unique<crypto::HmacDrbg>(fleet_server_seed(load_.seed));

@@ -545,8 +545,8 @@ void SecureSessionServer::flush_pipeline() {
 
   // Gather pending echoes in connection-id order: the job sequence — and
   // therefore each SA's nonce stream — is independent of arrival
-  // interleaving within the instant and of the worker count. Only
-  // the connections holding an echo are visited, never the whole table.
+  // interleaving within the instant. Only the connections holding an
+  // echo are visited, never the whole table.
   std::vector<std::uint32_t> ids;
   ids.swap(echo_ids_);
   std::sort(ids.begin(), ids.end());

@@ -2,8 +2,8 @@
 // hardened SecureSessionServer. Every campaign mixes at least two fault
 // classes and must satisfy the survival invariants (no livelock, byte-
 // exact surviving sessions, conserved connection accounting, bounded
-// memory), and the same seed must produce a bit-identical outcome for
-// any PacketPipeline worker count.
+// memory), and the same seed must reproduce a pinned, bit-identical
+// outcome.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -103,7 +103,6 @@ class ChaosTest : public ::testing::Test {
     cfg.server.handshake.private_key = &server_key_->priv;
     cfg.server.max_handshake_queue = 24;
     cfg.server.degraded_high_watermark = 16;
-    cfg.server.pipeline_workers = 1;
 
     cfg.client.handshake.now = kNow;
     cfg.client.handshake.trusted_roots = {ca_->root()};
@@ -165,11 +164,8 @@ std::vector<Campaign> campaign_book(const CampaignConfig& base) {
 
   add("dispatch_failure_plus_worker_stall", 0xC3,
       {DispatchFailure{.at_us = 20'000, .duration_us = 0},
-       WorkerStall{.at_us = 10'000,
-                   .duration_us = 0,
-                   .worker = 0,
-                   .stall_ns = 20'000}},
-      [](CampaignConfig& c) { c.server.pipeline_workers = 2; }, 12);
+       WorkerStall{.at_us = 10'000, .duration_us = 0, .stall_ns = 20'000}},
+      no_tweak, 12);
 
   add("rng_exhaustion_plus_blackout", 0xC4,
       {RngExhaustion{.at_us = 10'000, .duration_us = 100'000},
@@ -211,16 +207,13 @@ std::vector<Campaign> campaign_book(const CampaignConfig& base) {
       [](CampaignConfig& c) { c.server.max_handshake_queue = 10; }, 8);
 
   add("stall_plus_burst_plus_flap", 0xC8,
-      {WorkerStall{.at_us = 0,
-                   .duration_us = 0,
-                   .worker = 1,
-                   .stall_ns = 10'000},
+      {WorkerStall{.at_us = 0, .duration_us = 0, .stall_ns = 10'000},
        BurstLoss{.at_us = 20'000, .duration_us = 250'000, .loss_bad = 0.8},
        BearerFlap{.at_us = 40'000,
                   .flaps = 2,
                   .period_us = 200'000,
                   .outage_us = 50'000}},
-      [](CampaignConfig& c) { c.server.pipeline_workers = 3; }, 9);
+      no_tweak, 9);
 
   add("rng_exhaustion_plus_dispatch_failure", 0xC9,
       {RngExhaustion{.at_us = 5'000, .duration_us = 80'000},
@@ -238,14 +231,10 @@ std::vector<Campaign> campaign_book(const CampaignConfig& base) {
                         .clients = 1,
                         .connections_each = 4,
                         .messages_per_connection = 2},
-       WorkerStall{.at_us = 0,
-                   .duration_us = 0,
-                   .worker = 0,
-                   .stall_ns = 15'000},
+       WorkerStall{.at_us = 0, .duration_us = 0, .stall_ns = 15'000},
        DispatchFailure{.at_us = 100'000, .duration_us = 0},
        RngExhaustion{.at_us = 300'000, .duration_us = 50'000}},
       [](CampaignConfig& c) {
-        c.server.pipeline_workers = 2;
         c.server.max_handshake_queue = 10;
         c.server.degraded_high_watermark = 7;
         c.server.degraded_low_watermark = 3;
@@ -282,9 +271,10 @@ TEST_P(CampaignSoak, SurvivesWithInvariantsIntact) {
 INSTANTIATE_TEST_SUITE_P(CampaignBook, CampaignSoak,
                          ::testing::Range<std::size_t>(0, 10));
 
-// Same seed, different pipeline worker counts: the outcome must be
-// bit-identical — including under injected dispatch failure and worker
-// stalls (exercised by the chosen campaigns).
+// The same seed reproduces a pinned outcome — including under injected
+// dispatch failure and pipeline stalls (exercised by the chosen
+// campaigns). Each digest is the one every PacketPipeline worker count
+// produced while the pipeline still had a worker pool.
 TEST_F(ChaosTest, SameSeedIsBitIdenticalAcrossWorkerCounts) {
   // Pinned: the 1- and 3-worker runs agreed on these digests.
   const std::map<std::size_t, std::string> golden = {
@@ -297,24 +287,10 @@ TEST_F(ChaosTest, SameSeedIsBitIdenticalAcrossWorkerCounts) {
     const Campaign& campaign = book[index];
     SCOPED_TRACE(campaign.name);
 
-    CampaignConfig one = campaign.config;
-    one.server.pipeline_workers = 1;
-    CampaignConfig three = campaign.config;
-    three.server.pipeline_workers = 3;
-
-    const CampaignReport a = CampaignRunner(one).run();
-    const CampaignReport b = CampaignRunner(three).run();
+    const CampaignReport a = CampaignRunner(campaign.config).run();
 
     EXPECT_EQ(crypto::to_hex(a.fleet_digest), digest);
-    EXPECT_EQ(a.fleet_digest, b.fleet_digest);
-    EXPECT_EQ(a.sessions_completed, b.sessions_completed);
-    EXPECT_EQ(a.server.bytes_opened, b.server.bytes_opened);
-    EXPECT_EQ(a.server.bytes_sealed, b.server.bytes_sealed);
-    EXPECT_EQ(a.server.handshakes_completed, b.server.handshakes_completed);
-    EXPECT_EQ(a.server.refused_connections, b.server.refused_connections);
-    EXPECT_EQ(a.sim_duration_s, b.sim_duration_s);
     EXPECT_TRUE(a.invariants_ok()) << a.invariant_failures;
-    EXPECT_TRUE(b.invariants_ok()) << b.invariant_failures;
   }
 }
 

@@ -222,7 +222,7 @@ TEST_F(FailoverTest, ShardScopedStallsAreOutputInvariant) {
 
   chaos::CampaignConfig cfg = campaign(2);
   cfg.faults.push_back(chaos::ShardWorkerStall{
-      .at_us = 50'000, .shard = 0, .worker = 0, .stall_ns = 100'000});
+      .at_us = 50'000, .shard = 0, .stall_ns = 100'000});
   cfg.faults.push_back(chaos::ShardOffloadStall{
       .at_us = 50'000, .shard = 1, .all_workers = true});
   const chaos::CampaignReport r = chaos::CampaignRunner(cfg).run();

@@ -434,30 +434,24 @@ TEST_F(ServerTest, ReportPricesLoadAgainstTheAppliance) {
 
 // The acceptance soak: >= 1000 sessions through one server over a 5%-loss
 // reordering channel. Every session completes (handshake + byte-exact
-// echo) or fails cleanly inside its retry budget, and the entire run is
-// bit-identical for any PacketPipeline worker count.
+// echo) or fails cleanly inside its retry budget, and the run's fleet
+// digest is pinned: it is the value every PacketPipeline worker count
+// produced while the pipeline still had a worker pool.
 TEST_F(ServerTest, SoakIsBitIdenticalAcrossWorkerCounts) {
-  auto run_with_workers = [&](std::size_t workers) {
-    ClientConfig client = client_config();
-    client.sessions = 2;
-    client.payloads_per_session = 2;
-    client.payload_bytes = 128;
+  ClientConfig client = client_config();
+  client.sessions = 2;
+  client.payloads_per_session = 2;
+  client.payload_bytes = 128;
 
-    ServerConfig server = server_config();
-    server.pipeline_workers = workers;
+  LoadConfig load = load_config(500);  // 500 clients x 2 sessions
+  load.channel.loss_rate = 0.05;
+  load.channel.reorder_rate = 0.10;
+  load.channel.dup_rate = 0.02;
+  load.seed = 0x50AC;
 
-    LoadConfig load = load_config(500);  // 500 clients x 2 sessions
-    load.channel.loss_rate = 0.05;
-    load.channel.reorder_rate = 0.10;
-    load.channel.dup_rate = 0.02;
-    load.seed = 0x50AC;
-
-    LoadGenerator gen(load, server, client,
-                      {.capacity = 600, .ttl_us = 0});
-    return gen.run();
-  };
-
-  const LoadReport one = run_with_workers(1);
+  LoadGenerator gen(load, server_config(), client,
+                    {.capacity = 600, .ttl_us = 0});
+  const LoadReport one = gen.run();
   EXPECT_EQ(one.sessions_attempted, 1'000u);
   EXPECT_EQ(one.sessions_completed + one.sessions_failed,
             one.sessions_attempted);
@@ -467,14 +461,6 @@ TEST_F(ServerTest, SoakIsBitIdenticalAcrossWorkerCounts) {
   // Pinned: the 1- and 3-worker runs agreed on this digest.
   EXPECT_EQ(crypto::to_hex(one.fleet_digest),
             "04857ea8f96898e7c63fadac05bbaf3db6d540be28d15c64099203c48f76ed47");
-
-  const LoadReport three = run_with_workers(3);
-  EXPECT_EQ(one.fleet_digest, three.fleet_digest);
-  EXPECT_EQ(one.sessions_completed, three.sessions_completed);
-  EXPECT_EQ(one.server.bytes_sealed, three.server.bytes_sealed);
-  // Every bucket plus count, sum, min and max.
-  EXPECT_EQ(one.server.handshake_latency, three.server.handshake_latency);
-  EXPECT_EQ(one.sim_duration_s, three.sim_duration_s);
 }
 
 // Retirement: in a soak where every connection fails (handshake timeout
