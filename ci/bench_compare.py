@@ -17,8 +17,8 @@ Two input formats are understood:
     benchmarks matched by name (a report recorded with repetitions is
     reduced to its _median aggregates, renamed to the plain run name, so
     it compares against single-sample baselines too; argument variants like
-    BM_CcmpInboundPipeline/4/real_time are distinct names, so every
-    worker count is compared separately), throughput taken from
+    BM_CcmpInboundPipeline/1/real_time are distinct names, so every
+    argument is compared separately), throughput taken from
     bytes_per_second or items_per_second when present, otherwise inverse
     real_time.
   * mapsec scenario reports (BENCH_server.json, any doc with a top-level

@@ -5,9 +5,9 @@
 #   3. release, forced-scalar crypto (MAPSEC_FORCE_SCALAR=1) — portable
 #      kernels stay green where the dispatcher would otherwise hide them
 #      (the sanitizer tree covers the accelerated path)
-#   4. TSan               — the concurrency-bearing subset (pipeline,
-#      server, chaos campaigns, wire fuzzing, the socket tier) under
-#      ThreadSanitizer
+#   4. TSan               — the concurrency-bearing subset (server,
+#      chaos campaigns, wire fuzzing, the sharded and socket tiers)
+#      under ThreadSanitizer
 # This is the gate a change must pass before it lands.
 #
 # Finally, re-records the benchmark baselines from the release tree and
@@ -108,15 +108,14 @@ MAPSEC_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -j "${JOBS}" \
   -R 'Ticket|Renegotiat|ChaosTest|CampaignSoak|Shard|Failover|HangLatch'
 
 echo "== thread-sanitizer tree (MAPSEC_SANITIZE=thread) =="
-# TSan covers the concurrency surface: the PacketPipeline's worker pool
-# and everything that drives it (server, chaos campaigns, wire fuzzing).
-# A one-worker pipeline runs on its caller's thread and starts no pool,
-# so the pool's coverage comes from the multi-worker tests this filter
-# keeps: PipelineTest's 2-5 worker runs, the 3-worker server soak, and
-# the campaigns' 2- and 3-worker runs. Also covered: the ticket and
-# renegotiation lifecycles whose record-path drains ride the pipeline,
-# and the sharded serving tier whose shard threads hand the world back
-# and forth with the coordinator at epoch barriers.
+# TSan covers the concurrency surface. The PacketPipeline has no threads
+# of its own (it runs on its caller's), so its tests here, and the
+# server, chaos and wire-fuzz suites that drive it, vet only the threads
+# around it: the OffloadEngine's worker pool, which the server and
+# campaign suites start (stalled workers are stolen from another
+# thread), the ticket and renegotiation lifecycles, and the sharded
+# serving tier whose shard threads hand the world back and forth with
+# the coordinator at epoch barriers.
 # The failover suite is the sharpest of these: hang latches park shard
 # threads mid-slice, the wall-clock watchdog releases them from another
 # thread, and supervised kills tear worlds down between slices — exactly
@@ -132,9 +131,9 @@ if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
   echo "== benchmark baseline comparison =="
   BENCH_DIR="$(mktemp -d)"
   trap 'rm -rf "${BENCH_DIR}"' EXIT
+  # Five repetitions, compared by their medians, damp one-sample
+  # outliers (single samples of one binary have differed by 0.62x).
   record_crypto() {
-    # Five repetitions, compared by their medians, damp one-sample
-    # outliers (single samples of one binary have differed by 0.62x).
     ./build/bench/bench_crypto_primitives \
       --benchmark_format=json --benchmark_min_time=0.2 \
       --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
@@ -144,6 +143,7 @@ if [[ "${MAPSEC_BENCH_COMPARE:-1}" != "0" ]]; then
   record_engine() {
     ./build/bench/bench_pipeline_throughput \
       --benchmark_format=json --benchmark_min_time=0.2 \
+      --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
       --benchmark_out="${BENCH_DIR}/BENCH_engine.json" \
       --benchmark_out_format=json
   }
